@@ -34,6 +34,7 @@ from pathlib import Path
 #: Benchmarks the gate guards by default (see ROADMAP.md).
 GUARDED = (
     "test_bench_engine_speedup_s4",
+    "test_bench_array_batch_16rep_s5",
     "test_bench_campaign_fused_sweep",
     "test_bench_campaign_threaded_sweep",
     "test_bench_model_solve",

@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+from repro.api.quality import sim_quality_config
 from repro.core.spec import ModelSpec
 from repro.routing import EnhancedNbc
 from repro.simulation import (
@@ -123,3 +124,38 @@ def test_bench_array_batch_16rep_s4(benchmark, once):
     benchmark.extra_info["object_wall_s"] = round(wall_object, 3)
     benchmark.extra_info["mean_latency"] = pooled["mean_latency"]
     benchmark.extra_info["latency_ci"] = pooled["latency_ci"]
+
+
+def test_bench_array_batch_16rep_s5(benchmark, once):
+    """Guarded: a 16-replication S5 batch at the paper's size.
+
+    V=6, M=32, 0.4 x saturation, smoke windows.  The resident C loop
+    must stay resident here: the route tables answer every routing
+    state, so only uniform-buffer and ejection-row refills re-enter
+    Python (recorded as ``py_cycle_share``).
+    """
+    if load_kernel() is None:
+        pytest.skip("array backend's compiled cycle kernel unavailable (no C compiler)")
+    sat = (
+        ModelSpec(topology="star", order=5, message_length=32, total_vcs=6)
+        .build()
+        .saturation_rate()
+    )
+    cfg = sim_quality_config(
+        "smoke", message_length=32, generation_rate=round(0.4 * sat, 6), total_vcs=6
+    )
+    topology = StarGraph(5)
+
+    def batch():
+        sim = ArraySimulator(
+            topology, EnhancedNbc(), cfg, seeds=tuple(range(REPLICATIONS))
+        )
+        return sim, sim.run()
+
+    sim, results = once(batch)
+    prof = sim.phase_profile()
+    share = prof["py_cycles"] / prof["cycles"]
+    benchmark.extra_info["py_cycle_share"] = round(share, 4)
+    benchmark.extra_info["mean_latency"] = summarize_batch(results)["mean_latency"]
+    assert len(results) == REPLICATIONS
+    assert share <= 0.05, f"{share:.3f} of cycles re-entered Python"

@@ -666,6 +666,11 @@ def _run_profile_command(args) -> int:
     prof = results[0].phase_ns or {}
     total = prof.get("total", 0) or 1
     cycles = prof.get("cycles", 0)
+    returns = {
+        reason: int(prof.get(f"returns_{reason}", 0))
+        for reason in ("stop", "punt", "sample", "error")
+    }
+    py_cycles = int(prof.get("py_cycles", 0))
     if args.json:
         import json
 
@@ -685,6 +690,8 @@ def _run_profile_command(args) -> int:
                 phase: int(prof.get(phase, 0))
                 for phase in ("generation", "activation", "route", "complete", "other")
             },
+            "returns": returns,
+            "py_cycles": py_cycles,
         }
         print(json.dumps(record, sort_keys=True))
         return 0
@@ -708,6 +715,13 @@ def _run_profile_command(args) -> int:
     rows.append(["total", int(total), "100.0%", round(total / cycles, 1) if cycles else ""])
     print()
     print(render_table(["phase", "ns", "share", "ns/cycle"], rows))
+    share = f" ({100.0 * py_cycles / cycles:.1f}% of cycles)" if cycles else ""
+    print()
+    print(
+        "resident-loop returns: "
+        + ", ".join(f"{reason} {n}" for reason, n in returns.items())
+        + f"; cycles run in Python: {py_cycles}{share}"
+    )
     return 0
 
 

@@ -3,7 +3,7 @@
  * repro.simulation.kernels in one call — plus a cycle-resident driver
  * (starnet_run) that also runs generation, activation and the watchdog
  * in C and returns to Python only on events the Python side must
- * handle (block refills, pool growth, memo misses, sampling, stops).
+ * handle (uniform/ejection-row refills, pool growth, sampling, stops).
  *
  * Semantically identical to the Python/numpy passes in kernels.py (the
  * fallback): allocation walks each replication's pending headers in a
@@ -17,13 +17,14 @@
  * in a deterministic order (shuffle first, then at most one draw per
  * header), so numpy and C paths read the identical variate sequence.
  *
- * Routing candidates are memoized: msg_memo[slot] indexes a flattened
- * candidate table (cand_flat + memo_off/alen/elen) built lazily by the
- * Python side.  Headers re-entering the pending list via a transfer
- * "ready" event probe an open-addressing hash (int64 keys, -1 empty,
- * Fibonacci hashing, linear probe — mirrored exactly by the Python
- * inserts); misses are reported so Python can resolve them before the
- * next cycle's allocation.
+ * Routing candidates come from a dense route table built once by the
+ * Python side (repro.simulation.routes): a header's routing state
+ * (node, destination, escape floor, hops) maps arithmetically to a
+ * state id through the symmetry-class map, the state id to a candidate
+ * list of VC offsets relative to the node's first VC.  A state the
+ * routing algorithm rejects maps to -1 and surfaces as a kernel error
+ * that Python turns into the algorithm's own exception.  Distances come
+ * from the same table (class_dist[pair_class[src * N + dst]]).
  *
  * Round-robin arbitration uses the packed lookup table when `lut` is
  * non-null (V <= 15); otherwise a per-channel scan tracks the candidate
@@ -37,7 +38,7 @@
  * replications into contiguous ranges and each thread runs the fused
  * per-replication pipeline 2 -> 4a -> 3a -> 3b -> 4b over its range
  * with no inner barriers.  Cross-replication structures (the shared
- * ejection-column list, the fin/miss report lists, the scalar
+ * ejection-column list, the fin report list, the scalar
  * counters) are written into per-replication staging regions and
  * merged by the calling thread in ascending replication order — the
  * exact order the serial loops produce — and phase 5 (completion
@@ -74,23 +75,26 @@
  *  27 winners     (int64*, scratch R*C, per-rep region C)
  *  28 fin_nodes   (int64*, out)   rep*N + node of finished injections
  *  29 completions (int64*, out)   ej-column index of completed messages
- *  30 ready_miss  (int64*, out)   rep*cap + slot with unresolved memo
- *  31 out_counts  (int64*, 8)     {grants, busy_delta, fin, completions,
- *                                  ready_miss, error, ej_n_new,
- *                                  need_total}
- *  32 busy        (uint8*, R*C)   owned-VC count per channel
- *  33 do_alloc                    run the allocation phase here?
- *  34 cycle
- *  35 policy       0 adaptive-first, 1 lowest-escape, 2 random
- *  36 num_adaptive
- *  37 deg
- *  38 need_slots  (int32*, R*cap) pending headers, compacted in place
- *  39 need_n      (int64*, R)     in/out pending counts
- *  40 p_dst  41 p_header  42 p_dist  43 p_floor  44 p_hops
- *  45 p_first  46 p_head_vc  47 msg_memo   (all int32*, R*cap)
- *  48 cand_flat   (int32*)        flattened candidate VC ids
- *  49 memo_off    (int64*)  50 memo_alen  51 memo_elen  (int32*)
- *  52 hash_keys   (int64*)  53 hash_vals (int32*)  54 hash_log2
+ *  30 out_counts  (int64*, 8)     {grants, busy_delta, fin, completions,
+ *                                  error, ej_n_new, need_total, 0}
+ *  31 busy        (uint8*, R*C)   owned-VC count per channel
+ *  32 do_alloc                    run the allocation phase here?
+ *  33 cycle
+ *  34 policy       0 adaptive-first, 1 lowest-escape, 2 random
+ *  35 num_adaptive
+ *  36 deg
+ *  37 need_slots  (int32*, R*cap) pending headers, compacted in place
+ *  38 need_n      (int64*, R)     in/out pending counts
+ *  39 p_dst  40 p_header  41 p_dist  42 p_floor  43 p_hops
+ *  44 p_first  45 p_head_vc   (all int32*, R*cap)
+ *  46 pair_class  (int32*, N*N)   symmetry class of (node, destination)
+ *  47 class_dist  (int32*)        distance per pair class
+ *  48 route_combo (int32*)        candidate list per routing state id
+ *                                  ((class*2 + colour)*F + floor)*H
+ *                                  + hops; -1: state rejected
+ *  49 cand_off  50 cand_alen  51 cand_elen (int32*, per candidate list)
+ *  52 cand        (int32*)        VC offsets from the node's first VC
+ *  53 route_F     escape floors   54 route_H  hops (table extents)
  *  55 alloc_buf   (double*, R*buf_cap) pre-drawn uniforms
  *  56 buf_cap     57 alloc_pos (int64*, R)
  *  58 neighbors   (int32*, C)     node reached through each channel
@@ -119,8 +123,8 @@
  * Threading + resident-driver slots (85+):
  *
  *  85 tstage      (int64*, R*8)   per-rep staging {grants, busy_delta,
- *                                  fin_n, miss_n, err, newej_n,
- *                                  newej_base, spare}
+ *                                  fin_n, err, newej_n, newej_base,
+ *                                  bucket_end, spare}
  *  86 threads                     thread count (1: serial)
  *  87 pool                        Pool* from starnet_pool_new (0: none)
  *  88 gen_node_t  (double*, R*N)  next arrival instant per node
@@ -134,44 +138,42 @@
  *  97 qnext       (int32*, R*cap) source-queue links (next slot or -1)
  *  98 qhead  99 qtail  100 qlen  (int32*, R*N) per-node queues
  * 101 act         (uint8*, R*N)   nodes with pending activations
- * 102 dist_tab    (int32*, N*N)   distance table (-1: unresolved)
- * 103 cb                          refill callback
- *                                  int64 cb(kind, a, b):
- *                                  0 arrival-block refill (rep, node)
- *                                  1 dest-block refill (rep, node)
- *                                  2 distance query (src, dst) -> d
+ * 102 cb                          refill callback
+ *                                  int64 cb(kind, rep, node):
+ *                                  0 arrival-block refill
+ *                                  1 dest-block refill
  *                                  negative return: Python exception
- * 104 generated   (int64*, R)  105 meas_generated (int64*, R)
- * 106 warm        (int64*, R)  107 horizon (int64*, R)
- * 108 end         (int64*, R)     horizon + drain budget
- * 109 active      (uint8*, R)     1 until the rep's result is frozen
- * 110 slots                       injection slots per node
- * 111 grace                       watchdog grace (cycles)
- * 112 marks       (int64*, R)  113 lastp (int64*, R)  watchdog state
- * 114 sample_interval
- * 115 ugate       (int64*, 2)     {headroom, spend} uniform gate
- * 116 ej_cap_rows                 ejection-column capacity
- * 117 run_state   (int64*, 8)     in/out {cycle, busy_vcs, ej_n,
+ * 103 generated   (int64*, R)  104 meas_generated (int64*, R)
+ * 105 warm        (int64*, R)  106 horizon (int64*, R)
+ * 107 end         (int64*, R)     horizon + drain budget
+ * 108 active      (uint8*, R)     1 until the rep's result is frozen
+ * 109 slots                       injection slots per node
+ * 110 grace                       watchdog grace (cycles)
+ * 111 marks       (int64*, R)  112 lastp (int64*, R)  watchdog state
+ * 113 sample_interval
+ * 114 ugate       (int64*, 2)     {headroom, spend} uniform gate
+ * 115 ej_cap_rows                 ejection-column capacity
+ * 116 run_state   (int64*, 8)     in/out {cycle, busy_vcs, ej_n,
  *                                  need_total, reason, aux, 0, 0}
- * 118 prof        (int64*, 8)     phase-profiling ns accumulators, or 0
+ * 117 prof        (int64*, 8)     phase-profiling ns accumulators, or 0
  *                                  when profiling is off: {generation,
  *                                  activation, route, complete, -, -,
  *                                  -, -} (total/cycles live Python-side;
  *                                  see ArraySimulator.phase_profile)
  *
- * Time-series probe slots (119+), the same NULL-pointer = zero-overhead
- * contract as slot 118 (see probe_sample / docs/observability.md):
+ * Time-series probe slots (118+), the same NULL-pointer = zero-overhead
+ * contract as slot 117 (see probe_sample / docs/observability.md):
  *
- * 119 pb_data     (int64*, cap*R*(3+V+1)) sample ring buffer, or 0
+ * 118 pb_data     (int64*, cap*R*(3+V+1)) sample ring buffer, or 0
  *                                  when probing is off; one sample is
  *                                  R rows of {in_flight, completed,
  *                                  backlog, occupancy histogram 0..V}
- * 120 pb_cycles   (int64*, cap)   cycle stamp per sample
- * 121 pb_state    (int64*, 1)     {sample count} — shared with the
+ * 119 pb_cycles   (int64*, cap)   cycle stamp per sample
+ * 120 pb_state    (int64*, 1)     {sample count} — shared with the
  *                                  Python-driven cycles so both append
  *                                  to the same ring
- * 122 pb_interval                 cycles between samples
- * 123 pb_cap                      ring capacity (samples)
+ * 121 pb_interval                 cycles between samples
+ * 122 pb_cap                      ring capacity (samples)
  */
 
 #include <stdint.h>
@@ -186,11 +188,10 @@
 /* starnet_run return reasons (bitmask; mirrored in kernels.py). */
 #define RUN_STOP 1     /* a replication reached its stop condition      */
 #define RUN_PUNT 2     /* Python must run this cycle via step()         */
-#define RUN_MISS 4     /* memo-hash misses to resolve (cycle finished)  */
-#define RUN_SAMPLE 8   /* channel-load sample due (cycle finished)      */
-#define RUN_WATCHDOG 16 /* stalled: Python raises SimulationError       */
-#define RUN_CBERR 32   /* refill callback raised                        */
-#define RUN_ERR 64     /* kernel invariant failure                      */
+#define RUN_SAMPLE 4   /* channel-load sample due (cycle finished)      */
+#define RUN_WATCHDOG 8 /* stalled: Python raises SimulationError        */
+#define RUN_CBERR 16   /* refill callback raised                        */
+#define RUN_ERR 32     /* kernel invariant failure or rejected route    */
 
 typedef int64_t (*starnet_cb)(int64_t kind, int64_t a, int64_t b);
 
@@ -208,7 +209,7 @@ typedef struct Ctx {
     int64_t cap, N;
     int64_t *ej_reps, *ej_slots, *ej_flats, *ej_mflats, *ej_pos;
     int32_t *ej_k;
-    int64_t *winners, *fin_nodes, *completions, *ready_miss, *out_counts;
+    int64_t *winners, *fin_nodes, *completions, *out_counts;
     uint8_t *busy;
     int64_t policy;
     int32_t num_adaptive;
@@ -216,13 +217,10 @@ typedef struct Ctx {
     int32_t *need_slots;
     int64_t *need_n;
     int32_t *p_dst, *p_header, *p_dist, *p_floor, *p_hops, *p_first;
-    int32_t *p_head_vc, *msg_memo;
-    const int32_t *cand_flat;
-    const int64_t *memo_off;
-    const int32_t *memo_alen, *memo_elen;
-    const int64_t *hash_keys;
-    const int32_t *hash_vals;
-    int64_t hash_log2;
+    int32_t *p_head_vc;
+    const int32_t *pair_class, *class_dist, *route_combo;
+    const int32_t *cand_off, *cand_alen, *cand_elen, *cand;
+    int64_t route_F, route_H;
     const double *alloc_buf;
     int64_t buf_cap;
     int64_t *alloc_pos;
@@ -255,7 +253,6 @@ typedef struct Ctx {
     int64_t GB;
     int32_t *qnext, *qhead, *qtail, *qlen;
     uint8_t *act;
-    int32_t *dist_tab;
     starnet_cb cb;
     int64_t *generated, *meas_generated;
     const int64_t *warm, *horizon, *end;
@@ -316,29 +313,29 @@ static void decode(Ctx *c, int64_t *P)
     c->winners = (int64_t *)P[27];
     c->fin_nodes = (int64_t *)P[28];
     c->completions = (int64_t *)P[29];
-    c->ready_miss = (int64_t *)P[30];
-    c->out_counts = (int64_t *)P[31];
-    c->busy = (uint8_t *)P[32];
-    c->policy = P[35];
-    c->num_adaptive = (int32_t)P[36];
-    c->deg = P[37];
-    c->need_slots = (int32_t *)P[38];
-    c->need_n = (int64_t *)P[39];
-    c->p_dst = (int32_t *)P[40];
-    c->p_header = (int32_t *)P[41];
-    c->p_dist = (int32_t *)P[42];
-    c->p_floor = (int32_t *)P[43];
-    c->p_hops = (int32_t *)P[44];
-    c->p_first = (int32_t *)P[45];
-    c->p_head_vc = (int32_t *)P[46];
-    c->msg_memo = (int32_t *)P[47];
-    c->cand_flat = (const int32_t *)P[48];
-    c->memo_off = (const int64_t *)P[49];
-    c->memo_alen = (const int32_t *)P[50];
-    c->memo_elen = (const int32_t *)P[51];
-    c->hash_keys = (const int64_t *)P[52];
-    c->hash_vals = (const int32_t *)P[53];
-    c->hash_log2 = P[54];
+    c->out_counts = (int64_t *)P[30];
+    c->busy = (uint8_t *)P[31];
+    c->policy = P[34];
+    c->num_adaptive = (int32_t)P[35];
+    c->deg = P[36];
+    c->need_slots = (int32_t *)P[37];
+    c->need_n = (int64_t *)P[38];
+    c->p_dst = (int32_t *)P[39];
+    c->p_header = (int32_t *)P[40];
+    c->p_dist = (int32_t *)P[41];
+    c->p_floor = (int32_t *)P[42];
+    c->p_hops = (int32_t *)P[43];
+    c->p_first = (int32_t *)P[44];
+    c->p_head_vc = (int32_t *)P[45];
+    c->pair_class = (const int32_t *)P[46];
+    c->class_dist = (const int32_t *)P[47];
+    c->route_combo = (const int32_t *)P[48];
+    c->cand_off = (const int32_t *)P[49];
+    c->cand_alen = (const int32_t *)P[50];
+    c->cand_elen = (const int32_t *)P[51];
+    c->cand = (const int32_t *)P[52];
+    c->route_F = P[53];
+    c->route_H = P[54];
     c->alloc_buf = (const double *)P[55];
     c->buf_cap = P[56];
     c->alloc_pos = (int64_t *)P[57];
@@ -386,28 +383,27 @@ static void decode(Ctx *c, int64_t *P)
     c->qtail = (int32_t *)P[99];
     c->qlen = (int32_t *)P[100];
     c->act = (uint8_t *)P[101];
-    c->dist_tab = (int32_t *)P[102];
-    c->cb = (starnet_cb)(intptr_t)P[103];
-    c->generated = (int64_t *)P[104];
-    c->meas_generated = (int64_t *)P[105];
-    c->warm = (const int64_t *)P[106];
-    c->horizon = (const int64_t *)P[107];
-    c->end = (const int64_t *)P[108];
-    c->active = (uint8_t *)P[109];
-    c->slots = P[110];
-    c->grace = P[111];
-    c->marks = (int64_t *)P[112];
-    c->lastp = (int64_t *)P[113];
-    c->sample_interval = P[114];
-    c->ugate = (int64_t *)P[115];
-    c->ej_cap_rows = P[116];
-    c->run_state = (int64_t *)P[117];
-    c->prof = (int64_t *)P[118];
-    c->pb_data = (int64_t *)P[119];
-    c->pb_cycles = (int64_t *)P[120];
-    c->pb_state = (int64_t *)P[121];
-    c->pb_interval = P[122];
-    c->pb_cap = P[123];
+    c->cb = (starnet_cb)(intptr_t)P[102];
+    c->generated = (int64_t *)P[103];
+    c->meas_generated = (int64_t *)P[104];
+    c->warm = (const int64_t *)P[105];
+    c->horizon = (const int64_t *)P[106];
+    c->end = (const int64_t *)P[107];
+    c->active = (uint8_t *)P[108];
+    c->slots = P[109];
+    c->grace = P[110];
+    c->marks = (int64_t *)P[111];
+    c->lastp = (int64_t *)P[112];
+    c->sample_interval = P[113];
+    c->ugate = (int64_t *)P[114];
+    c->ej_cap_rows = P[115];
+    c->run_state = (int64_t *)P[116];
+    c->prof = (int64_t *)P[117];
+    c->pb_data = (int64_t *)P[118];
+    c->pb_cycles = (int64_t *)P[119];
+    c->pb_state = (int64_t *)P[120];
+    c->pb_interval = P[121];
+    c->pb_cap = P[122];
     c->ms = (int64_t)c->M << 16;
     c->CV = c->C * c->V;
 }
@@ -444,21 +440,6 @@ static void probe_sample(const Ctx *c, int64_t cycle)
     c->pb_state[0] = s + 1;
 }
 
-static int64_t probe_memo(const int64_t *keys, const int32_t *vals,
-                          int64_t log2size, int64_t kk)
-{
-    const uint64_t mask = ((uint64_t)1 << log2size) - 1;
-    uint64_t h = ((uint64_t)kk * 0x9E3779B97F4A7C15ULL) >> (64 - log2size);
-    for (;;) {
-        const int64_t k = keys[h];
-        if (k == kk)
-            return vals[h];
-        if (k == -1)
-            return -1;
-        h = (h + 1) & mask;
-    }
-}
-
 /* Phases 2, 4a, 3a, 3b, 4b for replications [r0, r1).  Every read and
  * write below touches only rep r's rows plus r's private staging
  * regions, so disjoint ranges run concurrently; the per-rep phase
@@ -478,9 +459,9 @@ static void rep_phases(const Ctx *c, int64_t r0, int64_t r1,
 
     for (int64_t r = r0; r < r1; ++r) {
         int64_t *ts = c->tstage + r * 8;
-        const int64_t newej_base = ts[6];
+        const int64_t newej_base = ts[5];
         int64_t grants_r = 0, busy_delta_r = 0, err_r = 0;
-        int64_t fn_r = 0, miss_r = 0, newej_r = 0;
+        int64_t fn_r = 0, newej_r = 0;
         const int64_t rowoff = r * CV;
 
         /* Phase 2 — VC allocation (shuffled order, per replication). */
@@ -503,24 +484,33 @@ static void rep_phases(const Ctx *c, int64_t r0, int64_t r1,
                 const int64_t mf = r * cap + s;
                 if (c->p_first[mf] < 0)
                     c->p_first[mf] = (int32_t)cycle;
-                const int32_t memo = c->msg_memo[mf];
-                if (memo < 0) { /* broken invariant: surface, don't hang */
+                /* route-table lookup: state id -> candidate list */
+                const int32_t hdr = c->p_header[mf];
+                const int32_t fl = c->p_floor[mf], hp = c->p_hops[mf];
+                int32_t u = -1;
+                if (fl >= 0 && fl < c->route_F && hp >= 0 && hp < c->route_H) {
+                    const int64_t cls = c->pair_class[hdr * N + c->p_dst[mf]];
+                    u = c->route_combo[((cls * 2 + c->color[hdr]) * c->route_F
+                                        + fl) * c->route_H + hp];
+                }
+                if (u < 0) { /* rejected state: Python raises the error */
                     err_r = 1;
                     ns[keep++] = s;
                     continue;
                 }
-                const int64_t off = c->memo_off[memo];
-                const int32_t alen = c->memo_alen[memo];
-                const int32_t elen = c->memo_elen[memo];
+                const int32_t *cand = c->cand + c->cand_off[u];
+                const int32_t alen = c->cand_alen[u];
+                const int32_t elen = c->cand_elen[u];
+                const int32_t vbase = (int32_t)(hdr * c->deg * V);
                 int32_t fa[ALLOC_SCRATCH], fe[ALLOC_SCRATCH];
                 int64_t na = 0, ne = 0;
                 for (int32_t j = 0; j < alen; ++j) {
-                    const int32_t f = c->cand_flat[off + j];
+                    const int32_t f = vbase + cand[j];
                     if (owner[rowoff + f] < 0)
                         fa[na++] = f;
                 }
                 for (int32_t j = 0; j < elen; ++j) {
-                    const int32_t f = c->cand_flat[off + alen + j];
+                    const int32_t f = vbase + cand[alen + j];
                     if (owner[rowoff + f] < 0)
                         fe[ne++] = f;
                 }
@@ -610,7 +600,6 @@ static void rep_phases(const Ctx *c, int64_t r0, int64_t r1,
                     vi < c->num_adaptive ? c->p_floor[mf] : vi - c->num_adaptive;
                 c->p_floor[mf] = fbase + (c->color[chan / c->deg] ? 1 : 0);
                 c->p_hops[mf] += 1;
-                c->msg_memo[mf] = -1; /* routing state advanced */
                 const int32_t nxt = c->neighbors[chan];
                 c->p_header[mf] = nxt;
                 const int32_t d = c->p_dist[mf] - 1;
@@ -635,8 +624,8 @@ static void rep_phases(const Ctx *c, int64_t r0, int64_t r1,
          * acquired this cycle sit at bd == 0 and contribute k == 0, so
          * the staged entries need no pick).  The bucket (counting-sort
          * order) visits the rep's rows in ascending column order. */
-        const int64_t bend = ts[7];
-        const int64_t bstart = r ? c->tstage[(r - 1) * 8 + 7] : 0;
+        const int64_t bend = ts[6];
+        const int64_t bstart = r ? c->tstage[(r - 1) * 8 + 6] : 0;
         for (int64_t b = bstart; b < bend; ++b) {
             const int64_t i = c->completions[b];
             int32_t k = bd[c->ej_flats[i]] & 0xFFFF;
@@ -698,19 +687,10 @@ static void rep_phases(const Ctx *c, int64_t r0, int64_t r1,
             const int32_t nbx = bd[x] + 0x10001; /* buffered+1, delivered+1 */
             bd[x] = nbx;
             if (nbx == 0x10001) { /* first flit crossed: header now ready */
-                const int64_t mf = r * cap + owner[x];
-                if (c->p_dist[mf] > 0) { /* next hop still to claim */
-                    const int64_t kk =
-                        (((int64_t)c->p_header[mf] * N + c->p_dst[mf]) << 16)
-                        | ((int64_t)c->p_floor[mf] << 8) | c->p_hops[mf];
-                    const int64_t mid =
-                        probe_memo(c->hash_keys, c->hash_vals, c->hash_log2, kk);
-                    c->msg_memo[mf] = (int32_t)mid;
-                    c->need_slots[r * cap + c->need_n[r]] =
-                        (int32_t)(mf - r * cap);
+                const int32_t s = owner[x];
+                if (c->p_dist[r * cap + s] > 0) { /* next hop still to claim */
+                    c->need_slots[r * cap + c->need_n[r]] = s;
                     c->need_n[r] += 1;
-                    if (mid < 0) /* Python resolves before next allocation */
-                        c->ready_miss[r * C + miss_r++] = mf;
                 }
             }
             avail[x] -= 1;
@@ -760,9 +740,8 @@ static void rep_phases(const Ctx *c, int64_t r0, int64_t r1,
         ts[0] = grants_r;
         ts[1] = busy_delta_r;
         ts[2] = fn_r;
-        ts[3] = miss_r;
-        ts[4] = err_r;
-        ts[5] = newej_r;
+        ts[3] = err_r;
+        ts[4] = newej_r;
     }
 }
 
@@ -888,7 +867,7 @@ void starnet_pool_free(int64_t pool)
 /* ------------------------------------------------------------------ */
 
 typedef struct CycleOut {
-    int64_t grants, busy_delta, fn, cn, rm, err, ej_n, need_total;
+    int64_t grants, busy_delta, fn, cn, err, ej_n, need_total;
 } CycleOut;
 
 static void run_phases(const Ctx *c, int64_t cycle, int64_t do_alloc,
@@ -904,9 +883,9 @@ static void run_phases(const Ctx *c, int64_t cycle, int64_t do_alloc,
     int64_t off = ej_n_old;
     for (int64_t r = 0; r < R; ++r) {
         int64_t *ts = c->tstage + r * 8;
-        ts[0] = ts[1] = ts[2] = ts[3] = ts[4] = ts[5] = 0;
-        ts[6] = off;
-        ts[7] = 0;
+        ts[0] = ts[1] = ts[2] = ts[3] = ts[4] = 0;
+        ts[5] = off;
+        ts[6] = 0;
         if (do_alloc)
             off += c->need_n[r];
     }
@@ -914,18 +893,18 @@ static void run_phases(const Ctx *c, int64_t cycle, int64_t do_alloc,
     /* Rep buckets of the live ejection columns: a stable counting sort
      * into the completions scratch (dead until the merge reuses it)
      * lets phases 4a/4b walk each replication's own rows instead of
-     * filtering the whole column set R times.  Staging slot 7 ends up
+     * filtering the whole column set R times.  Staging slot 6 ends up
      * holding each rep's bucket END; its start is the previous end. */
     for (int64_t i = 0; i < ej_n_old; ++i)
-        c->tstage[c->ej_reps[i] * 8 + 7] += 1;
+        c->tstage[c->ej_reps[i] * 8 + 6] += 1;
     int64_t acc = 0;
     for (int64_t r = 0; r < R; ++r) {
-        const int64_t cnt = c->tstage[r * 8 + 7];
-        c->tstage[r * 8 + 7] = acc;
+        const int64_t cnt = c->tstage[r * 8 + 6];
+        c->tstage[r * 8 + 6] = acc;
         acc += cnt;
     }
     for (int64_t i = 0; i < ej_n_old; ++i)
-        c->completions[c->tstage[c->ej_reps[i] * 8 + 7]++] = i;
+        c->completions[c->tstage[c->ej_reps[i] * 8 + 6]++] = i;
 
     Pool *p = c->pool;
     if (p && p->nthreads > 1 && R > 1) {
@@ -954,10 +933,10 @@ static void run_phases(const Ctx *c, int64_t cycle, int64_t do_alloc,
         const int64_t *ts = c->tstage + r * 8;
         grants += ts[0];
         busy_delta += ts[1];
-        if (ts[4])
+        if (ts[3])
             err = 1;
-        const int64_t base = ts[6];
-        for (int64_t j = 0; j < ts[5]; ++j) {
+        const int64_t base = ts[5];
+        for (int64_t j = 0; j < ts[4]; ++j) {
             const int64_t src = base + j;
             if (src != ej_n) {
                 c->ej_reps[ej_n] = c->ej_reps[src];
@@ -970,13 +949,10 @@ static void run_phases(const Ctx *c, int64_t cycle, int64_t do_alloc,
         }
     }
     /* Replication 0's entries are already in place at offset 0. */
-    int64_t fn = c->tstage[2], rm = c->tstage[3];
+    int64_t fn = c->tstage[2];
     for (int64_t r = 1; r < R; ++r)
         for (int64_t j = 0; j < c->tstage[r * 8 + 2]; ++j)
             c->fin_nodes[fn++] = c->fin_nodes[r * C + j];
-    for (int64_t r = 1; r < R; ++r)
-        for (int64_t j = 0; j < c->tstage[r * 8 + 3]; ++j)
-            c->ready_miss[rm++] = c->ready_miss[r * C + j];
     /* route (phases 2-4) ends here; the completion tail is phase 5 */
     const int64_t pt1 = prof_now(c->prof);
     if (c->prof)
@@ -1023,7 +999,6 @@ static void run_phases(const Ctx *c, int64_t cycle, int64_t do_alloc,
         }
         /* free the message slot (mirrors SimState.free_slot) */
         c->p_head_vc[mf] = -1;
-        c->msg_memo[mf] = -1;
         c->free_stack[r * cap + c->free_n[r]] = (int32_t)(mf - r * cap);
         c->free_n[r] += 1;
         /* swap-remove the drained ejection column */
@@ -1053,7 +1028,6 @@ static void run_phases(const Ctx *c, int64_t cycle, int64_t do_alloc,
     o->busy_delta = busy_delta;
     o->fn = fn;
     o->cn = cn;
-    o->rm = rm;
     o->err = err;
     o->ej_n = ej_n;
     o->need_total = need_total;
@@ -1066,10 +1040,9 @@ static void write_out(const Ctx *c, const CycleOut *o)
     out[1] = o->busy_delta;
     out[2] = o->fn;
     out[3] = o->cn;
-    out[4] = o->rm;
-    out[5] = o->err;
-    out[6] = o->ej_n;
-    out[7] = o->need_total;
+    out[4] = o->err;
+    out[5] = o->ej_n;
+    out[6] = o->need_total;
 }
 
 int64_t starnet_cycle(int64_t *P)
@@ -1077,7 +1050,7 @@ int64_t starnet_cycle(int64_t *P)
     Ctx c;
     decode(&c, P);
     CycleOut o;
-    run_phases(&c, P[34], P[33], P[25], &o);
+    run_phases(&c, P[33], P[32], P[25], &o);
     write_out(&c, &o);
     return o.grants;
 }
@@ -1136,14 +1109,7 @@ static int gen_cycle(const Ctx *c, int64_t cycle, int *act_any)
             }
             const int32_t dst = c->dst_buf[rn * GB + dpos];
             c->dst_pos[rn] = dpos + 1;
-            /* distance (lazy table, dict-backed via the callback) */
-            int32_t dist = c->dist_tab[node * N + dst];
-            if (dist < 0) {
-                const int64_t dd = c->cb(2, node, dst);
-                if (dd < 0)
-                    return GEN_CBERR;
-                dist = (int32_t)dd;
-            }
+            const int32_t dist = c->class_dist[c->pair_class[node * N + dst]];
             /* allocate the message slot (mirrors SimState.alloc_slot) */
             const int64_t fn2 = c->free_n[r] - 1;
             c->free_n[r] = fn2;
@@ -1160,7 +1126,6 @@ static int gen_cycle(const Ctx *c, int64_t cycle, int *act_any)
             c->p_floor[mf] = 0;
             c->p_hops[mf] = 0;
             c->p_first[mf] = -1;
-            c->msg_memo[mf] = -1;
             c->generated[r] += 1;
             if (measured)
                 c->meas_generated[r] += 1;
@@ -1188,14 +1153,9 @@ static int gen_cycle(const Ctx *c, int64_t cycle, int *act_any)
     return GEN_OK;
 }
 
-#define ACT_OK 0
-#define ACT_PUNT 1
-
 /* Activation, the C twin of ArraySimulator._activate: ascending
- * (rep, node) order == sorted(set) order.  A memo-hash miss punts
- * back to Python *before* the message is committed, so Python's
- * _activate resumes mid-node without replays. */
-static int act_cycle(const Ctx *c, int64_t *need_total)
+ * (rep, node) order == sorted(set) order. */
+static void act_cycle(const Ctx *c, int64_t *need_total)
 {
     const int64_t N = c->N, cap = c->cap;
     for (int64_t r = 0; r < c->R; ++r) {
@@ -1207,16 +1167,6 @@ static int act_cycle(const Ctx *c, int64_t *need_total)
             while (c->qlen[rn] && c->active_inj[rn] < c->slots) {
                 const int32_t s = c->qhead[rn];
                 const int64_t mf = r * cap + s;
-                if (c->msg_memo[mf] < 0) {
-                    /* fresh message: floor == hops == 0 */
-                    const int64_t kk =
-                        (((int64_t)c->p_header[mf] * N + c->p_dst[mf]) << 16);
-                    const int64_t mid = probe_memo(
-                        c->hash_keys, c->hash_vals, c->hash_log2, kk);
-                    if (mid < 0)
-                        return ACT_PUNT; /* Python resolves via the dict */
-                    c->msg_memo[mf] = (int32_t)mid;
-                }
                 const int32_t nxt = c->qnext[r * cap + s];
                 c->qhead[rn] = nxt;
                 if (nxt < 0)
@@ -1233,7 +1183,6 @@ static int act_cycle(const Ctx *c, int64_t *need_total)
             c->act[rn] = 0;
         }
     }
-    return ACT_OK;
 }
 
 int64_t starnet_run(int64_t *P)
@@ -1281,13 +1230,9 @@ int64_t starnet_run(int64_t *P)
         }
         if (act_any) {
             const int64_t tp = prof_now(c.prof);
-            const int a = act_cycle(&c, &need_total);
+            act_cycle(&c, &need_total);
             if (c.prof)
                 c.prof[1] += prof_now(c.prof) - tp;
-            if (a == ACT_PUNT) {
-                reason = RUN_PUNT;
-                goto out;
-            }
             act_any = 0;
         }
 
@@ -1339,8 +1284,6 @@ int64_t starnet_run(int64_t *P)
                 c.act[c.fin_nodes[j]] = 1;
                 act_any = 1;
             }
-            if (o.rm)
-                reason |= RUN_MISS;
         }
 
         /* watchdog — every 32 cycles, ascending reps, first stall wins */
@@ -1379,7 +1322,7 @@ int64_t starnet_run(int64_t *P)
 
         cycle += 1;
         if (reason)
-            break; /* MISS/SAMPLE: cycle finished, Python runs the tail */
+            break; /* SAMPLE: cycle finished, Python runs the tail */
     }
 
 out:

@@ -9,11 +9,15 @@ so the C path is purely an accelerator: roughly one function call per
 cycle instead of ~40 numpy dispatches.
 
 Compilation is attempted once per process and cached as a shared object
-keyed by the source hash (honouring ``STARNET_CKERNEL_DIR``, defaulting
-to a per-user cache directory).  Set ``STARNET_NO_CKERNEL=1`` to force
-the numpy path silently; an unexpected compile/load *failure* also falls
-back to numpy but emits one :class:`RuntimeWarning` for the whole
-process (the result is correct either way — only slower).
+(honouring ``STARNET_CKERNEL_DIR``, defaulting to a per-user cache
+directory) whose name hashes everything that shapes the binary: the
+source, the compiler's resolved path and version banner, and the
+compile flags.  A portable ``-O2`` retry, or a sanitizer build (CI
+replaces ``_FLAG_LADDER`` in-process), can so never be served under the
+native-tuned name.  Set ``STARNET_NO_CKERNEL=1`` to force the numpy path silently; an unexpected
+compile/load *failure* also falls back to numpy but emits one
+:class:`RuntimeWarning` for the whole process (the result is correct
+either way — only slower).
 """
 
 from __future__ import annotations
@@ -35,6 +39,10 @@ _SOURCE = Path(__file__).with_name("_ckernel.c")
 #: The kernel takes one int64 parameter block (see _ckernel.c for the
 #: slot layout) so each per-cycle call marshals a single pointer.
 _SIGNATURE: list = [ctypes.c_void_p]
+
+#: Flag sets tried in order: native tuning (the cache is per machine and
+#: keyed by flags), then a portable build for compilers that reject it.
+_FLAG_LADDER = (("-O3", "-march=native"), ("-O2",))
 
 
 class KernelBundle(NamedTuple):
@@ -74,10 +82,15 @@ def _compiler() -> str | None:
     return None
 
 
-def _build(source: Path, out: Path) -> bool:
-    cc = _compiler()
-    if cc is None:
-        return False
+def _so_path(source: bytes, cc: str, banner: bytes, flags: tuple[str, ...]) -> Path:
+    """Cache entry of one (source, compiler, flags) build."""
+    h = hashlib.sha256(source)
+    for part in (os.path.realpath(cc).encode(), banner, *map(str.encode, flags)):
+        h.update(b"\0" + part)
+    return _cache_dir() / f"ckernel-{h.hexdigest()[:16]}.so"
+
+
+def _build(cc: str, flags: tuple[str, ...], out: Path) -> bool:
     out.parent.mkdir(parents=True, exist_ok=True)
     # Compile into a unique temp name, then atomically rename, so
     # concurrent processes (campaign pool workers) never load a half-
@@ -85,27 +98,14 @@ def _build(source: Path, out: Path) -> bool:
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=str(out.parent))
     os.close(fd)
     try:
-        # The cache is per-machine, so native tuning is safe; retry
-        # without it for compilers that reject -march=native.
-        for extra in (["-O3", "-march=native"], ["-O2"]):
-            proc = subprocess.run(
-                [
-                    cc,
-                    *extra,
-                    "-shared",
-                    "-fPIC",
-                    "-pthread",
-                    "-o",
-                    tmp,
-                    str(source),
-                ],
-                capture_output=True,
-                timeout=120,
-            )
-            if proc.returncode == 0:
-                os.replace(tmp, out)
-                return True
-        return False
+        proc = subprocess.run(
+            [cc, *flags, "-shared", "-fPIC", "-pthread", "-o", tmp, str(_SOURCE)],
+            capture_output=True,
+            timeout=120,
+        )
+        if proc.returncode == 0:
+            os.replace(tmp, out)
+        return proc.returncode == 0
     except (OSError, subprocess.SubprocessError):
         return False
     finally:
@@ -114,6 +114,28 @@ def _build(source: Path, out: Path) -> bool:
                 os.unlink(tmp)
             except OSError:
                 pass
+
+
+def _compiled_path() -> Path | None:
+    """The cached (or freshly built) shared object, None on failure.
+
+    Prefers any flag set already in the cache, in ladder order, before
+    compiling anything, so a machine whose compiler rejects the first
+    set pays the failed compile once, not once per process.
+    """
+    cc = _compiler()
+    if cc is None:
+        return None
+    try:
+        banner = subprocess.run([cc, "--version"], capture_output=True, timeout=30).stdout
+    except (OSError, subprocess.SubprocessError):
+        return None
+    source = _SOURCE.read_bytes()
+    ladder = [(flags, _so_path(source, cc, banner, flags)) for flags in _FLAG_LADDER]
+    cached = [path for _, path in ladder if path.exists()]
+    if cached:
+        return cached[0]
+    return next((path for flags, path in ladder if _build(cc, flags, path)), None)
 
 
 def _fail(reason: str):
@@ -144,10 +166,8 @@ def load_bundle() -> KernelBundle | None:
         _cached = (None,)
         return None
     try:
-        src = _SOURCE.read_bytes()
-        digest = hashlib.sha256(src).hexdigest()[:16]
-        so_path = _cache_dir() / f"ckernel-{digest}.so"
-        if not so_path.exists() and not _build(_SOURCE, so_path):
+        so_path = _compiled_path()
+        if so_path is None:
             return _fail("no working C compiler")
         lib = ctypes.CDLL(str(so_path))
         cycle = lib.starnet_cycle

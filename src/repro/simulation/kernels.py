@@ -4,7 +4,7 @@
 through the same four-phase cycle as the object engine
 (:mod:`repro.simulation.engine`):
 
-1. **generation/activation** — per-replication arrival heaps feed
+1. **generation/activation** — per-node next-arrival instants feed
    per-node source queues; up to ``injection_slots`` messages per node
    are concurrently active;
 2. **virtual-channel allocation** — headers consult the routing
@@ -32,12 +32,15 @@ fallback.  Design choices shared by both paths:
   into a per-replication buffer the kernels consume in a deterministic
   order (shuffle first, then at most one draw per header).  The C path
   therefore never touches a bit generator.
-* **Memoized routing.**  The candidate VCs of a routing state (node,
-  destination, escape floor, hops) are resolved once in Python and
-  flattened into shared arrays; headers carry a memo id
-  (``state.msg_memo``) and the C kernel re-derives ids for headers
-  re-entering the pending list through an open-addressing hash mirrored
-  exactly by the Python inserts.
+* **Route tables.**  The candidate VCs of every routing state (node,
+  destination, escape floor, hops) are precomputed when the simulator
+  is built, once per (topology, algorithm, V) and per process
+  (:mod:`repro.simulation.routes`): the topology's symmetry-class map
+  reduces each (node, destination) pair to its class, so the star
+  graph's table has n!·2·floors·hops entries instead of one per node
+  pair and state.  Both kernels compute a header's table index
+  arithmetically at allocation time and read distances from the same
+  table; nothing is resolved lazily.
 * **Arbitration without a V cap.**  Round-robin winners come from a
   packed lookup table up to V = 15 and from an equivalent
   smallest-cyclic-offset scan (C) / argmin (numpy) beyond.
@@ -68,15 +71,16 @@ construction (see docs/simulation.md, "Parallelism model"):
   workload), :meth:`ArraySimulator.run` hands the loop to
   ``starnet_run``, which also advances generation/activation/watchdog
   and returns to Python only on events Python must service (block
-  refills, pool growth, memo misses, sampling, stops).  Set
-  ``STARNET_NO_RESIDENT=1`` to force the per-cycle path.
+  refills, uniform-buffer and ejection-row refills, pool growth,
+  sampling, stops); :meth:`ArraySimulator.phase_profile` counts those
+  returns.  Set ``STARNET_NO_RESIDENT=1`` to force the per-cycle path.
 """
 
 from __future__ import annotations
 
+import collections
 import ctypes
 import dataclasses
-import heapq
 import math
 import os
 import time
@@ -92,10 +96,11 @@ from repro.simulation.metrics import (
     HopBlockingStats,
     SimulationResult,
 )
+from repro.simulation.routes import route_table
 from repro.simulation.state import MAX_BUFFER_DEPTH, SimState
 from repro.topology.base import Topology
 from repro.utils.exceptions import ConfigurationError, SimulationError
-from repro.utils.rng import RngStreams
+from repro.utils.rng import ExponentialTape, RngStreams
 
 __all__ = ["ArraySimulator"]
 
@@ -106,8 +111,8 @@ _MAX_LUT_VCS = 15
 #: Per-cycle patched slots of the C kernel's parameter block (layout in
 #: _ckernel.c, kept in lockstep with _refresh_c_args).
 _EJ_N_SLOT = 25
-_DO_ALLOC_SLOT = 33
-_CYCLE_SLOT = 34
+_DO_ALLOC_SLOT = 32
+_CYCLE_SLOT = 33
 
 #: On-stack free-VC scratch width of the C allocation loop; wider
 #: candidate sets (deg * V) keep allocation in Python.
@@ -116,26 +121,17 @@ _ALLOC_SCRATCH = 512
 #: Arrival-instant / destination block size per (replication, node).
 _GEN_BLOCK = 64
 
-#: Fibonacci multiplier of the memo hash (mirrored in _ckernel.c).
-_GOLDEN = 0x9E3779B97F4A7C15
-_MASK64 = (1 << 64) - 1
-
-#: Widest topology for which the resident loop's N x N distance table
-#: is worth allocating; larger networks keep the per-cycle driver.
-_DIST_TABLE_MAX = 2048
-
 #: starnet_run return-reason bits (mirrored in _ckernel.c).
 _RUN_STOP = 1
 _RUN_PUNT = 2
-_RUN_MISS = 4
-_RUN_SAMPLE = 8
-_RUN_WATCHDOG = 16
-_RUN_CBERR = 32
-_RUN_ERR = 64
+_RUN_SAMPLE = 4
+_RUN_WATCHDOG = 8
+_RUN_CBERR = 16
+_RUN_ERR = 32
 
-#: Refill/query callback signature of the resident loop:
-#: ``cb(kind, a, b)`` with kind 0 = arrival-block refill (rep, node),
-#: 1 = destination-block refill (rep, node), 2 = distance (src, dst).
+#: Refill callback signature of the resident loop: ``cb(kind, rep,
+#: node)`` with kind 0 = arrival-block refill, 1 = destination-block
+#: refill.
 _CB_TYPE = ctypes.CFUNCTYPE(
     ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64
 )
@@ -145,6 +141,10 @@ _CB_TYPE = ctypes.CFUNCTYPE(
 #: paths and the Python per-cycle/numpy drivers write the same slots.
 _PROF_PHASES = ("generation", "activation", "route", "complete")
 _PROF_TOTAL_SLOT = 5
+
+#: Resident-loop returns by reason (watchdog, callback and kernel
+#: errors count as ``error``), reported by ``phase_profile()``.
+_RETURN_KEYS = ("returns_stop", "returns_punt", "returns_sample", "returns_error")
 
 #: Structural config fields every replication of one batch must share.
 _SHARED_FIELDS = (
@@ -301,7 +301,9 @@ class ArraySimulator:
             topology.neighbor_table.ravel(), dtype=np.int32
         )
         self._neighbors_py = [int(x) for x in self._neighbors_np]
-        self._dist_memo: dict[int, int] = {}
+        #: Candidate VCs and distances of every routing state, shared by
+        #: both kernels (memoized per topology, algorithm and V).
+        self.routes = route_table(topology, algorithm, V)
         # Round-robin arbitration state: up to _MAX_LUT_VCS the winner
         # comes from a packed lookup table; wider VC counts use the
         # cyclic-offset scan/argmin in both kernels.
@@ -325,20 +327,6 @@ class ArraySimulator:
         #: advance is the stock arithmetic and its on-stack scratch fits.
         self._c_alloc_ok = self._plain_floor and self._deg * V <= _ALLOC_SCRATCH
 
-        # -- routing memo (shared across replications) -------------------
-        self._memo_ids: dict[tuple, int] = {}
-        self._memo_pools: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        self._memo_cap = 256
-        self._memo_off = np.zeros(self._memo_cap, dtype=np.int64)
-        self._memo_alen = np.zeros(self._memo_cap, dtype=np.int32)
-        self._memo_elen = np.zeros(self._memo_cap, dtype=np.int32)
-        self._cand_cap = 1024
-        self._cand_flat = np.zeros(self._cand_cap, dtype=np.int32)
-        self._cand_len = 0
-        self._hash_log2 = 10
-        self._hash_keys = np.full(1 << self._hash_log2, -1, dtype=np.int64)
-        self._hash_vals = np.zeros(1 << self._hash_log2, dtype=np.int32)
-
         # -- per-replication random streams ------------------------------
         # Same (seed, name) keys as a single run with that seed, so each
         # replication's draws are a pure function of its own config.
@@ -356,27 +344,45 @@ class ArraySimulator:
         # check, _u_spend an upper bound on any row's consumption since.
         self._u_headroom = self._buf_cap
         self._u_spend = 0
-        self._dest_rng = [
-            [streams.dest(u) for u in range(N)] for streams in self._rngs
-        ]
-        self._sources = [
-            [
-                self.workload.build_temporal(
-                    configs[rep].generation_rate, self._rngs[rep].traffic(u)
-                )
-                for u in range(N)
-            ]
-            for rep in range(R)
-        ]
         #: Stateful spatial patterns (trace replay) opt out of block
         #: buffering: their draw order across nodes is semantic.
         self._dest_blocks = getattr(self.spatial, "block_safe", True)
+        #: A node's k-th destination block is a pure function of (seed,
+        #: node, k): replications sharing a seed (a rate ladder's rungs)
+        #: share the seed's stream and its drawn blocks.
+        shared = {s for s, n in collections.Counter(self.seeds).items() if n > 1}
+        by_seed = {c.seed: streams for c, streams in zip(configs, self._rngs)}
+        self._dest_rng = self._rngs
+        self._dst_shared: dict[int, dict[int, list[np.ndarray]]] = {}
+        if self._dest_blocks:
+            self._dest_rng = [by_seed[c.seed] for c in configs]
+            self._dst_shared = {seed: {} for seed in shared}
+        self._dst_next = np.zeros((R, N), dtype=np.int64)
+        # Shared seeds share the traffic stream too when the arrival
+        # process draws only exponentials: each rep replays the seed's
+        # tape at its own rate.
+        replay = self.workload.build_temporal(0.0, None).exponential_only
+        tapes = {
+            (s, u): ExponentialTape(by_seed[s].traffic(u))
+            for s in (shared if replay else ())
+            for u in range(N)
+        }
+        self._sources = [
+            [
+                self.workload.build_temporal(
+                    c.generation_rate,
+                    tapes[c.seed, u].reader() if (c.seed, u) in tapes else streams.traffic(u),
+                )
+                for u in range(N)
+            ]
+            for c, streams in zip(configs, self._rngs)
+        ]
         # Generation state lives in flat arrays shared with the resident
         # C loop: pre-drawn arrival/destination blocks with cursors, the
         # next-arrival instant per node, and the linked-list source
         # queues below.  One outstanding arrival per node makes the
         # event order canonical — the smallest (instant, node) pair —
-        # so an argmin over the node row replaces the old heap exactly.
+        # so an argmin over the node row finds the next event exactly.
         self._arr_buf = np.zeros((R, N, _GEN_BLOCK), dtype=np.float64)
         self._arr_pos = np.zeros((R, N), dtype=np.int32)
         self._arr_len = np.zeros((R, N), dtype=np.int32)
@@ -400,12 +406,10 @@ class ArraySimulator:
         #: fast path compares one float per replication.
         self._gen_next = self._gen_node_t.min(axis=1)
         self._next_arrival = float(self._gen_next.min()) if R else math.inf
-        #: Python mirrors of the two arrays above: the stepwise
-        #: generation path peeks a per-rep (t, node) heap and writes
-        #: through to the arrays (which stay authoritative — the C loop
-        #: reads and updates them, after which _run_resident resyncs).
+        #: Python mirror of ``_gen_next`` for the stepwise generation
+        #: path (the array stays authoritative — the C loop reads and
+        #: updates it, after which _run_resident resyncs).
         self._gen_next_list = self._gen_next.tolist()
-        self._rebuild_gen_heaps()
         #: Nodes with messages to (re)activate, as a bitmap plus a dirty
         #: flag — the array twin of the old ``_activatable`` set.
         self._act = np.zeros((R, N), dtype=np.uint8)
@@ -414,12 +418,6 @@ class ArraySimulator:
         #: two are resynced whenever the C loop returns.
         self._act_set: set[tuple[int, int]] = set()
         self._act_any = False
-        #: Node-to-node distances for the resident loop (-1 until the
-        #: refill callback copies them out of ``_dist_memo``).
-        if N <= _DIST_TABLE_MAX:
-            self._dist_tab = np.full((N, N), -1, dtype=np.int32)
-        else:
-            self._dist_tab = None
         #: Optional generation-event tap for the trace-diff harness:
         #: called with (rep, node, t, dst) per generated message.
         self._gen_hook = None
@@ -500,13 +498,16 @@ class ArraySimulator:
         self._c_ugate = np.zeros(2, dtype=np.int64)
         #: Per-replication staging block of the threaded kernel.
         self._c_tstage = np.zeros(R * 8, dtype=np.int64)
-        #: ctypes callback handed to starnet_run for block refills and
-        #: distance queries; exceptions are stashed and re-raised after
-        #: the C call returns.
+        #: ctypes callback handed to starnet_run for block refills;
+        #: exceptions are stashed and re-raised after the C call returns.
         self._cb_exc: BaseException | None = None
         self._c_cb = _CB_TYPE(self._cb_dispatch)
         self._c_cb_ptr = ctypes.cast(self._c_cb, ctypes.c_void_p).value or 0
         self._no_resident = bool(os.environ.get("STARNET_NO_RESIDENT"))
+        #: Resident-loop returns by reason and cycles run through step()
+        #: (observation only; surfaced by phase_profile()).
+        self._returns = dict.fromkeys(_RETURN_KEYS, 0)
+        self._py_cycles = 0
 
         # Kernel worker-thread pool: spawned once per simulator, freed
         # by the finalizer.  Pool creation failure (or a missing kernel)
@@ -667,7 +668,13 @@ class ArraySimulator:
         crossings), ``total`` and ``cycles``.  On the fused per-cycle C
         path, phases 2-5 run as one kernel call whose route/complete
         split is timed inside C; the numpy fallback times the same split
-        in Python.  All zeros when profiling is off.
+        in Python.  The timings are all zeros when profiling is off.
+
+        Counters, kept whether or not profiling is on: ``returns_stop``,
+        ``returns_punt``, ``returns_sample`` and ``returns_error`` count
+        the resident C loop's returns to Python by reason, and
+        ``py_cycles`` the cycles run through the per-cycle :meth:`step`
+        (a punted resident cycle, or every cycle off the resident path).
         """
         p = self.state.phase_ns
         phases = {name: int(p[i]) for i, name in enumerate(_PROF_PHASES)}
@@ -676,6 +683,8 @@ class ArraySimulator:
         phases["other"] = total - accounted
         phases["total"] = total
         phases["cycles"] = int(self.cycle)
+        phases.update(self._returns)
+        phases["py_cycles"] = self._py_cycles
         return phases
 
     def _stop_rep(self, rep: int) -> None:
@@ -689,8 +698,8 @@ class ArraySimulator:
         """May :meth:`run` hand the cycle loop to ``starnet_run``?
 
         Requires the compiled kernel with in-C allocation, no Python
-        seams (``_choose_vc``/``_gen_hook``), a block-safe workload and
-        a distance table; ``STARNET_NO_RESIDENT`` (or clearing the
+        seams (``_choose_vc``/``_gen_hook``) and a block-safe workload;
+        ``STARNET_NO_RESIDENT`` (or clearing the
         ``_no_resident`` attribute's inverse in tests) forces the
         per-cycle driver, which produces identical bits.
         """
@@ -701,7 +710,6 @@ class ArraySimulator:
             and self._choose_vc is None
             and self._gen_hook is None
             and self._dest_blocks
-            and self._dist_tab is not None
             and not self._no_resident
         )
 
@@ -720,6 +728,7 @@ class ArraySimulator:
         ends = self._end_per
         run = self._ck_bundle.run
         rs = self._c_rs
+        returns = self._returns
         remaining = sum(1 for f in final if f is None)
         while remaining:
             if self._msg_cap != st.capacity:
@@ -742,11 +751,12 @@ class ArraySimulator:
             self._u_headroom = int(self._c_ugate[0])
             self._u_spend = int(self._c_ugate[1])
             self._gen_next_list = self._gen_next.tolist()
-            self._rebuild_gen_heaps()
             self._next_arrival = min(self._gen_next_list) if R else math.inf
             nz = np.nonzero(self._act)
             self._act_set = set(zip(nz[0].tolist(), nz[1].tolist()))
             self._act_any = bool(self._act_set)
+            if reason & (_RUN_CBERR | _RUN_ERR | _RUN_WATCHDOG):
+                returns["returns_error"] += 1
             if reason & _RUN_CBERR:
                 exc = self._cb_exc
                 self._cb_exc = None
@@ -756,17 +766,7 @@ class ArraySimulator:
                     "resident-loop refill callback failed without an exception"
                 )
             if reason & _RUN_ERR:
-                raise SimulationError(
-                    f"compiled cycle kernel invariant failure at cycle "
-                    f"{self.cycle} (non-minimal route, unresolved routing "
-                    "memo, or a completed message still owning channels)"
-                )
-            if reason & _RUN_MISS:
-                # Same resolution (and memo-id order) as _cycle_c's tail.
-                cap = st.capacity
-                for mf in self._c_miss[: int(self._c_out[4])].tolist():
-                    rep = mf // cap
-                    self._resolve_memo(rep, mf - rep * cap)
+                self._kernel_error()
             if reason & _RUN_WATCHDOG:
                 rep = int(rs[5])
                 grace = self._c_grace
@@ -777,6 +777,7 @@ class ArraySimulator:
                     "routing deadlock?"
                 )
             if reason & _RUN_SAMPLE:
+                returns["returns_sample"] += 1
                 cyc = self.cycle - 1  # the cycle the kernel just finished
                 stats = None
                 for rep in range(R):
@@ -787,11 +788,13 @@ class ArraySimulator:
                             stats[0][rep], stats[1][rep], stats[2][rep]
                         )
             if reason & _RUN_PUNT:
-                # The cycle needs Python (buffer refill, pool growth,
-                # memo insert, ejection-row growth): run exactly this
-                # one cycle through the per-cycle driver and re-enter.
+                # The cycle needs Python (uniform refill, pool growth,
+                # ejection-row growth): run exactly this one cycle
+                # through the per-cycle driver and re-enter.
+                returns["returns_punt"] += 1
                 self.step()
             if reason & _RUN_STOP:
+                returns["returns_stop"] += 1
                 cyc = self.cycle
                 for rep in range(R):
                     if (
@@ -815,6 +818,7 @@ class ArraySimulator:
         """
         prof = self._prof
         cycle = self.cycle
+        self._py_cycles += 1
         if prof is not None:
             t0 = time.perf_counter_ns()
         if cycle >= self._next_arrival:
@@ -972,10 +976,24 @@ class ArraySimulator:
         self._arr_pos[rep, node] = 0
 
     def _refill_dst(self, rep: int, node: int) -> None:
-        """Refill one node's pre-drawn destination block, cursor reset."""
-        buf = self.spatial.destinations_block(
-            node, _GEN_BLOCK, self._dest_rng[rep][node]
-        )
+        """Refill one node's pre-drawn destination block, cursor reset
+        (from the seed's shared blocks when companions share the seed)."""
+        seed = self.seeds[rep]
+        cache = self._dst_shared.get(seed)
+        if cache is None:
+            buf = self.spatial.destinations_block(
+                node, _GEN_BLOCK, self._dest_rng[rep].dest(node)
+            )
+        else:
+            blocks = cache.setdefault(node, [])
+            k = int(self._dst_next[rep, node])
+            self._dst_next[rep, node] = k + 1
+            if k == len(blocks):
+                draw = self.spatial.destinations_block(
+                    node, _GEN_BLOCK, self._dest_rng[rep].dest(node)
+                )
+                blocks.append(np.asarray(draw, dtype=np.int32))
+            buf = blocks[k]
         self._dst_buf[rep, node, : len(buf)] = buf
         self._dst_len[rep, node] = len(buf)
         self._dst_pos[rep, node] = 0
@@ -983,26 +1001,17 @@ class ArraySimulator:
     def _cb_dispatch(self, kind: int, a: int, b: int) -> int:
         """``starnet_run``'s service callback (ctypes re-acquires the GIL).
 
-        kind 0/1 refill one node's arrival/destination block, kind 2
-        answers a distance query (memoized, and copied into the dense
-        table so the C loop never asks twice).  Exceptions can't cross
-        the C frame: they are stashed for :meth:`_run_resident` to
-        re-raise and signalled to C as -1 (→ CBERR return).
+        kind 0/1 refill one node's arrival/destination block.
+        Exceptions can't cross the C frame: they are stashed for
+        :meth:`_run_resident` to re-raise and signalled to C as -1
+        (→ CBERR return).
         """
         try:
             if kind == 0:
                 self._refill_arr(a, b)
-                return 0
-            if kind == 1:
+            else:
                 self._refill_dst(a, b)
-                return 0
-            key = a * self.state.num_nodes + b
-            dist = self._dist_memo.get(key)
-            if dist is None:
-                dist = self.topology.distance(a, b)
-                self._dist_memo[key] = dist
-            self._dist_tab[a, b] = dist
-            return dist
+            return 0
         except BaseException as exc:  # noqa: BLE001 — crossing a C frame
             self._cb_exc = exc
             return -1
@@ -1020,7 +1029,7 @@ class ArraySimulator:
     def _next_dest(self, rep: int, node: int) -> int:
         """Pop the node's next destination from its pre-drawn block."""
         if not self._dest_blocks:
-            return self.spatial.destination(node, self._dest_rng[rep][node])
+            return self.spatial.destination(node, self._dest_rng[rep].dest(node))
         k = rep * self._Nn + node
         pos = int(self._f_dst_pos[k])
         if pos >= int(self._f_dst_len[k]):
@@ -1032,14 +1041,14 @@ class ArraySimulator:
     def _generate(self, cycle: int) -> None:
         st = self.state
         N = st.num_nodes
-        dist_memo = self._dist_memo
-        dist_tab = self._dist_tab
+        pair_class = self.routes.pair_class
+        class_dist = self.routes.class_dist
         gen_next = self._gen_next
         gnl = self._gen_next_list
         fcycle = float(cycle)
         cap = self._msg_cap
         (f_tgen, f_src, f_ejd, f_meas, f_dst, f_hdr, f_dist, f_flr,
-         f_hops, f_fa, f_memo, f_qnext) = self._flatc
+         f_hops, f_fa, f_qnext) = self._flatc
         f_qhead = self._f_qhead
         f_qtail = self._f_qtail
         f_qlen = self._f_qlen
@@ -1049,36 +1058,29 @@ class ArraySimulator:
             if gnl[rep] > fcycle:
                 continue
             nt = self._gen_node_t[rep]
-            heap = self._gen_heaps[rep]
             warm = self._warm[rep]
             horizon = self._horizon_per[rep]
             nb = rep * N
             mb = rep * cap
             g = mg = 0
             while True:
-                # One outstanding arrival per node makes (t, node) pairs
-                # unique, so heap (t, node) order ≡ the array's strict
-                # first-minimum scan (what the C loop performs).
-                t, node = heap[0]
+                # One outstanding arrival per node: the next event is the
+                # earliest instant, ties to the lowest node — argmin's
+                # first minimum, the same scan the C loop performs.
+                node = int(nt.argmin())
+                t = float(nt[node])
                 if t > fcycle:
                     gen_next[rep] = t
                     gnl[rep] = t
                     break
-                heapq.heappop(heap)
                 dst = self._next_dest(rep, node)
-                key = node * N + dst
-                dist = dist_memo.get(key)
-                if dist is None:
-                    dist = self.topology.distance(node, dst)
-                    dist_memo[key] = dist
-                if dist_tab is not None:
-                    dist_tab[node, dst] = dist
+                dist = class_dist[pair_class[node * N + dst]]
                 s = st.alloc_slot(rep)
                 if cap != st.capacity:
                     self._sync_msg_cap()  # pool grew: views reallocated
                     cap = self._msg_cap
                     (f_tgen, f_src, f_ejd, f_meas, f_dst, f_hdr, f_dist,
-                     f_flr, f_hops, f_fa, f_memo, f_qnext) = self._flatc
+                     f_flr, f_hops, f_fa, f_qnext) = self._flatc
                     mb = rep * cap
                 i = mb + s
                 f_tgen[i] = t
@@ -1092,7 +1094,6 @@ class ArraySimulator:
                 f_flr[i] = 0
                 f_hops[i] = 0
                 f_fa[i] = -1
-                f_memo[i] = -1
                 g += 1
                 if measured:
                     mg += 1
@@ -1109,24 +1110,13 @@ class ArraySimulator:
                 act_set.add((rep, node))
                 if self._gen_hook is not None:
                     self._gen_hook(rep, node, t, dst)
-                tn = self._next_arrival_time(rep, node)
-                heapq.heappush(heap, (tn, node))
-                nt[node] = tn
+                nt[node] = self._next_arrival_time(rep, node)
             if g:
                 self._generated[rep] += g
                 if mg:
                     self._measured_generated[rep] += mg
                 self._act_any = True
         self._next_arrival = min(gnl)
-
-    def _rebuild_gen_heaps(self) -> None:
-        """Re-derive the per-rep (t, node) event heaps from the array."""
-        self._gen_heaps = [
-            [(t, n) for n, t in enumerate(row)]
-            for row in self._gen_node_t.tolist()
-        ]
-        for h in self._gen_heaps:
-            heapq.heapify(h)
 
     def _activate(self) -> None:
         st = self.state
@@ -1135,9 +1125,7 @@ class ArraySimulator:
         slots = self._slots
         flatc = self._flatc
         f_meas = flatc[3]
-        f_dst = flatc[4]
-        f_memo = flatc[10]
-        f_qnext = flatc[11]
+        f_qnext = flatc[10]
         f_qhead = self._f_qhead
         f_qtail = self._f_qtail
         f_qlen = self._f_qlen
@@ -1145,7 +1133,6 @@ class ArraySimulator:
         f_ai = self._f_ai
         f_need_slots = self._f_need_slots
         need_n = self._need_n
-        memo_ids = self._memo_ids
         total_new = 0
         # The set mirrors the bitmap's nonzero coords, so sorted order
         # == the bitmap's row-major order (what the C loop walks).
@@ -1167,14 +1154,6 @@ class ArraySimulator:
                     popped += 1
                     if f_meas[i]:
                         mcount += 1
-                    # A message entering injection has never routed, so
-                    # its memo key is always (src, dst, floor=0, hops=0)
-                    # — same id-assignment order as _queue_need.
-                    key = (node, int(f_dst[i]), 0, 0)
-                    mid = memo_ids.get(key)
-                    if mid is None:
-                        mid = self._new_memo(key)
-                    f_memo[i] = mid
                     f_need_slots[mb + nn] = s
                     nn += 1
                 f_qhead[k] = head
@@ -1193,132 +1172,25 @@ class ArraySimulator:
         self._act_set.clear()
         self._act_any = False
 
-    # ------------------------------------------------------------------
-    # Routing memo (candidate tables shared by both kernels)
-    # ------------------------------------------------------------------
-
-    def _queue_need(self, rep: int, slot: int) -> None:
-        """Append a header to the pending list, memo resolved."""
+    def _kernel_error(self) -> None:
+        """Raise the error behind a compiled-kernel failure flag: the
+        algorithm's own exception for a pending header in a rejected
+        routing state, else a broken-invariant SimulationError."""
         st = self.state
-        if st.msg_memo[rep, slot] < 0:
-            self._resolve_memo(rep, slot)
-        n = self._need_n[rep]
-        self._need_slots[rep, n] = slot
-        self._need_n[rep] = n + 1
-        self._need_total += 1
-
-    def _resolve_memo(self, rep: int, slot: int) -> None:
-        """Assign the memo id of the header's current routing state."""
-        st = self.state
-        key = (
-            int(st.p_header[rep, slot]),
-            int(st.p_dst[rep, slot]),
-            int(st.p_floor[rep, slot]),
-            int(st.p_hops[rep, slot]),
+        routes = self.routes
+        for rep in range(self._R):
+            for s in self._need_slots[rep, : int(self._need_n[rep])].tolist():
+                routes.lookup(
+                    self.topology,
+                    int(st.p_header[rep, s]),
+                    int(st.p_dst[rep, s]),
+                    int(st.p_floor[rep, s]),
+                    int(st.p_hops[rep, s]),
+                )
+        raise SimulationError(
+            f"compiled cycle kernel invariant failure at cycle {self.cycle} "
+            "(non-minimal route, or a completed message still owning channels)"
         )
-        mid = self._memo_ids.get(key)
-        if mid is None:
-            mid = self._new_memo(key)
-        st.msg_memo[rep, slot] = mid
-
-    def _new_memo(self, key: tuple) -> int:
-        """Resolve a routing state's candidate VCs and publish the memo.
-
-        A pure function of (current node, destination, escape floor, hops
-        taken) — the routing queries behind it (ports × eligible classes)
-        cost far more than the table lookups that replace them.
-        """
-        cur, dst, floor, hops = key
-        N = self.state.num_nodes
-        ports = self.algorithm.ports(self.topology, cur, dst)
-        hop_negative = self._color_py[cur] == 1
-        nkey = cur * N + dst
-        d_rem = self._dist_memo.get(nkey)
-        if d_rem is None:
-            d_rem = self.topology.distance(cur, dst)
-            self._dist_memo[nkey] = d_rem
-        state = self._route_state
-        state.escape_floor = floor
-        state.hops_taken = hops
-        state.negative_hops = 0
-        es = self.algorithm.eligible(self.vc_config, d_rem, hop_negative, state)
-        V = self._V
-        base0 = cur * self._deg
-        adaptive = tuple(
-            (base0 + port) * V + idx for port in ports for idx in es.adaptive
-        )
-        escape = tuple(
-            (base0 + port) * V + idx for port in ports for idx in es.escape
-        )
-        mid = len(self._memo_pools)
-        self._memo_pools.append((adaptive, escape))
-        self._memo_ids[key] = mid
-        # Flattened mirror for the C kernel (amortized-append arrays).
-        total = len(adaptive) + len(escape)
-        if mid >= self._memo_cap:
-            self._memo_cap *= 2
-            for name in ("_memo_off", "_memo_alen", "_memo_elen"):
-                old = getattr(self, name)
-                wide = np.zeros(self._memo_cap, dtype=old.dtype)
-                wide[: old.size] = old
-                setattr(self, name, wide)
-            self._c_args = None
-        if self._cand_len + total > self._cand_cap:
-            while self._cand_len + total > self._cand_cap:
-                self._cand_cap *= 2
-            wide = np.zeros(self._cand_cap, dtype=np.int32)
-            wide[: self._cand_len] = self._cand_flat[: self._cand_len]
-            self._cand_flat = wide
-            self._c_args = None
-        off = self._cand_len
-        self._memo_off[mid] = off
-        self._memo_alen[mid] = len(adaptive)
-        self._memo_elen[mid] = len(escape)
-        if adaptive:
-            self._cand_flat[off : off + len(adaptive)] = adaptive
-        if escape:
-            self._cand_flat[off + len(adaptive) : off + total] = escape
-        self._cand_len = off + total
-        # Hash mirror for the C kernel's ready-event probes.  States
-        # whose fields overflow the packed key stay dict-only: the C
-        # probe then misses and Python resolves — a miss is safe, a
-        # colliding entry would not be.
-        if 0 <= floor <= 0xFF and 0 <= hops <= 0xFF and nkey < (1 << 47):
-            self._hash_insert((nkey << 16) | (floor << 8) | hops, mid)
-        return mid
-
-    def _hash_insert(self, kk: int, mid: int) -> None:
-        if 2 * len(self._memo_pools) >= self._hash_keys.size:
-            self._hash_grow()
-        keys = self._hash_keys
-        mask = keys.size - 1
-        h = ((kk * _GOLDEN) & _MASK64) >> (64 - self._hash_log2)
-        while keys[h] != -1:
-            h = (h + 1) & mask
-        keys[h] = kk
-        self._hash_vals[h] = mid
-
-    def _hash_grow(self) -> None:
-        self._hash_log2 += 1
-        size = 1 << self._hash_log2
-        self._hash_keys = np.full(size, -1, dtype=np.int64)
-        self._hash_vals = np.zeros(size, dtype=np.int32)
-        keys = self._hash_keys
-        vals = self._hash_vals
-        mask = size - 1
-        shift = 64 - self._hash_log2
-        N = self.state.num_nodes
-        for (cur, dst, floor, hops), mid in self._memo_ids.items():
-            nkey = cur * N + dst
-            if not (0 <= floor <= 0xFF and 0 <= hops <= 0xFF and nkey < (1 << 47)):
-                continue
-            kk = (nkey << 16) | (floor << 8) | hops
-            h = ((kk * _GOLDEN) & _MASK64) >> shift
-            while keys[h] != -1:
-                h = (h + 1) & mask
-            keys[h] = kk
-            vals[h] = mid
-        self._c_args = None
 
     # ------------------------------------------------------------------
     # Phase 2 — virtual-channel allocation (Python/numpy fallback)
@@ -1369,7 +1241,10 @@ class ArraySimulator:
         policy = self._policy_code
         owner = st.owner_flat
         CV = self._CV
-        pools = self._memo_pools
+        topology = self.topology
+        lookup = self.routes.lookup
+        pools = self.routes.pools
+        vspan = self._deg * V
         hb_max = self._hb_max
         chooser = self._choose_vc
         for rep in range(self._R):
@@ -1387,21 +1262,22 @@ class ArraySimulator:
                     order[i], order[j] = order[j], order[i]
             keep = 0
             rowoff = rep * CV
-            memo_row = st.msg_memo[rep]
             first = st.p_first_attempt[rep]
+            hdr_row = st.p_header[rep]
+            dst_row = st.p_dst[rep]
+            floor_row = st.p_floor[rep]
             hops_row = st.p_hops[rep]
             meas = st.msg_measured[rep]
             for s in order:
                 if first[s] < 0:
                     first[s] = cycle
-                mid = int(memo_row[s])
-                if mid < 0:
-                    raise SimulationError(
-                        "pending header without a resolved routing memo"
-                    )
-                a, e = pools[mid]
-                fa = [f for f in a if owner[rowoff + f] < 0]
-                fe = [f for f in e if owner[rowoff + f] < 0]
+                cur = int(hdr_row[s])
+                a, e = pools[
+                    lookup(topology, cur, int(dst_row[s]), int(floor_row[s]), int(hops_row[s]))
+                ]
+                base = cur * vspan
+                fa = [base + f for f in a if owner[rowoff + base + f] < 0]
+                fe = [base + f for f in e if owner[rowoff + base + f] < 0]
                 flat = -1
                 if chooser is not None:  # test seam replaces the policy
                     picked = chooser(rep, s)
@@ -1505,7 +1381,6 @@ class ArraySimulator:
             self.algorithm.advance_floor(self.vc_config, state, v_index, hop_negative)
             st.p_floor[rep, slot] = state.escape_floor
             st.p_hops[rep, slot] = state.hops_taken
-        st.msg_memo[rep, slot] = -1  # routing state advanced
         nxt = self._neighbors_py[chan]
         st.p_header[rep, slot] = nxt
         d = int(st.p_dist[rep, slot]) - 1
@@ -1577,7 +1452,7 @@ class ArraySimulator:
         # First flit across a newly acquired channel: its owner's header
         # is ready for the next hop — re-queue it for allocation.  The
         # ascending-index order here matches the C kernel's enumeration,
-        # so memo ids are assigned in the same order on both paths.
+        # so both paths append to the pending list in the same order.
         nready = flat[bdf[flat] == 0x10001]
         if nready.size:
             CV = self._CV
@@ -1587,7 +1462,10 @@ class ArraySimulator:
                 rep = x // CV
                 slot = int(owner_flat[x])
                 if p_dist[rep, slot] > 0:  # not yet at its destination
-                    self._queue_need(rep, slot)
+                    n = self._need_n[rep]
+                    self._need_slots[rep, n] = slot
+                    self._need_n[rep] = n + 1
+                    self._need_total += 1
         counts = np.bincount(rc // self._C, minlength=self._R)
         st.transfers += counts
         rowoff = flat - flat % self._CV  # == rep * CV
@@ -1697,7 +1575,6 @@ class ArraySimulator:
             st.p_floor.ravel(),
             st.p_hops.ravel(),
             st.p_first_attempt.ravel(),
-            st.msg_memo.ravel(),
             self._qnext.ravel(),
         )
         self._f_need_slots = self._need_slots.ravel()
@@ -1711,10 +1588,6 @@ class ArraySimulator:
             wide[:n] = old[:n]
             setattr(self, name, wide)
         self._c_args = None  # ejection columns moved: refresh pointers
-
-    def _ensure_ej_capacity(self, rows: int) -> None:
-        while self._ej_cap_rows < rows:
-            self._grow_ej_rows()
 
     def _ej_add(self, rep: int, slot: int, head: int) -> None:
         self._sync_msg_cap()
@@ -1815,19 +1688,19 @@ class ArraySimulator:
         """(Re)build the C kernel's parameter block.
 
         Called whenever an array the kernel touches may have been
-        reallocated: the message pool grew, the ejection columns or memo
-        tables doubled, the hash resized or the uniform buffer widened.
+        reallocated: the message pool grew, the ejection columns doubled
+        or the uniform buffer widened.
         Slot layout documented in _ckernel.c — the indices here must
         match it exactly.
         """
         st = self.state
+        routes = self.routes
         rows = self._ej_cap_rows
         RC = self._R * self._C
         self._c_ejk = np.empty(rows, dtype=np.int32)
         self._c_comps = np.empty(rows, dtype=np.int64)
         self._c_winners = np.empty(RC, dtype=np.int64)
         self._c_fin = np.empty(RC, dtype=np.int64)
-        self._c_miss = np.empty(RC, dtype=np.int64)
         self._c_msg_cap = st.capacity
         ej_rate = -1 if self._ej_rate is None else int(self._ej_rate)
         grace = self.config.watchdog_grace
@@ -1870,31 +1743,31 @@ class ArraySimulator:
                 self._c_winners.ctypes.data,  # 27
                 self._c_fin.ctypes.data,  # 28
                 self._c_comps.ctypes.data,  # 29
-                self._c_miss.ctypes.data,  # 30
-                self._c_out.ctypes.data,  # 31
-                st.ch_busy.ctypes.data,  # 32
-                0,  # 33 do_alloc, patched per cycle
-                0,  # 34 cycle, patched per cycle
-                self._policy_code,  # 35
-                self.vc_config.num_adaptive,  # 36
-                self._deg,  # 37
-                self._need_slots.ctypes.data,  # 38
-                self._need_n.ctypes.data,  # 39
-                st.p_dst.ctypes.data,  # 40
-                st.p_header.ctypes.data,  # 41
-                st.p_dist.ctypes.data,  # 42
-                st.p_floor.ctypes.data,  # 43
-                st.p_hops.ctypes.data,  # 44
-                st.p_first_attempt.ctypes.data,  # 45
-                st.p_head_vc.ctypes.data,  # 46
-                st.msg_memo.ctypes.data,  # 47
-                self._cand_flat.ctypes.data,  # 48
-                self._memo_off.ctypes.data,  # 49
-                self._memo_alen.ctypes.data,  # 50
-                self._memo_elen.ctypes.data,  # 51
-                self._hash_keys.ctypes.data,  # 52
-                self._hash_vals.ctypes.data,  # 53
-                self._hash_log2,  # 54
+                self._c_out.ctypes.data,  # 30
+                st.ch_busy.ctypes.data,  # 31
+                0,  # 32 do_alloc, patched per cycle
+                0,  # 33 cycle, patched per cycle
+                self._policy_code,  # 34
+                self.vc_config.num_adaptive,  # 35
+                self._deg,  # 36
+                self._need_slots.ctypes.data,  # 37
+                self._need_n.ctypes.data,  # 38
+                st.p_dst.ctypes.data,  # 39
+                st.p_header.ctypes.data,  # 40
+                st.p_dist.ctypes.data,  # 41
+                st.p_floor.ctypes.data,  # 42
+                st.p_hops.ctypes.data,  # 43
+                st.p_first_attempt.ctypes.data,  # 44
+                st.p_head_vc.ctypes.data,  # 45
+                routes.pair_class.ctypes.data,  # 46
+                routes.class_dist.ctypes.data,  # 47
+                routes.combo.ctypes.data,  # 48
+                routes.off.ctypes.data,  # 49
+                routes.alen.ctypes.data,  # 50
+                routes.elen.ctypes.data,  # 51
+                routes.cand.ctypes.data,  # 52
+                routes.floors,  # 53
+                routes.hops,  # 54
                 self._alloc_buf.ctypes.data,  # 55
                 self._buf_cap,  # 56
                 self._alloc_pos.ctypes.data,  # 57
@@ -1942,28 +1815,27 @@ class ArraySimulator:
                 self._qtail.ctypes.data,  # 99
                 self._qlen.ctypes.data,  # 100
                 self._act.ctypes.data,  # 101
-                0 if self._dist_tab is None else self._dist_tab.ctypes.data,  # 102
-                self._c_cb_ptr,  # 103
-                self._generated.ctypes.data,  # 104
-                self._measured_generated.ctypes.data,  # 105
-                self._warm_np.ctypes.data,  # 106
-                self._horizon_np.ctypes.data,  # 107
-                self._end_np.ctypes.data,  # 108
-                self._active_np.ctypes.data,  # 109
-                self._slots,  # 110
-                grace,  # 111
-                self._progress_marks.ctypes.data,  # 112
-                self._last_progress.ctypes.data,  # 113
-                self.config.sample_interval,  # 114
-                self._c_ugate.ctypes.data,  # 115
-                self._ej_cap_rows,  # 116
-                self._c_rs.ctypes.data,  # 117
-                self.state.phase_ns.ctypes.data if self._prof is not None else 0,  # 118
-                0 if st.probe_data is None else st.probe_data.ctypes.data,  # 119
-                0 if st.probe_cycles is None else st.probe_cycles.ctypes.data,  # 120
-                0 if st.probe_state is None else st.probe_state.ctypes.data,  # 121
-                self._probe_int or 0,  # 122
-                st.probe_capacity,  # 123
+                self._c_cb_ptr,  # 102
+                self._generated.ctypes.data,  # 103
+                self._measured_generated.ctypes.data,  # 104
+                self._warm_np.ctypes.data,  # 105
+                self._horizon_np.ctypes.data,  # 106
+                self._end_np.ctypes.data,  # 107
+                self._active_np.ctypes.data,  # 108
+                self._slots,  # 109
+                grace,  # 110
+                self._progress_marks.ctypes.data,  # 111
+                self._last_progress.ctypes.data,  # 112
+                self.config.sample_interval,  # 113
+                self._c_ugate.ctypes.data,  # 114
+                self._ej_cap_rows,  # 115
+                self._c_rs.ctypes.data,  # 116
+                self.state.phase_ns.ctypes.data if self._prof is not None else 0,  # 117
+                0 if st.probe_data is None else st.probe_data.ctypes.data,  # 118
+                0 if st.probe_cycles is None else st.probe_cycles.ctypes.data,  # 119
+                0 if st.probe_state is None else st.probe_state.ctypes.data,  # 120
+                self._probe_int or 0,  # 121
+                st.probe_capacity,  # 122
             ],
             dtype=np.int64,
         )
@@ -1991,9 +1863,8 @@ class ArraySimulator:
             self._ensure_uniforms()
             # Every pending header could finish routing and append an
             # ejection row; reserve up front so C never reallocates.
-            rows = self._ejecting_count + self._need_total
-            if self._ej_cap_rows < rows:
-                self._ensure_ej_capacity(rows)
+            while self._ej_cap_rows < self._ejecting_count + self._need_total:
+                self._grow_ej_rows()
         if self._c_args is None or self._c_msg_cap != st.capacity:
             self._refresh_c_args()
         params = self._c_params
@@ -2002,19 +1873,14 @@ class ArraySimulator:
         params[_CYCLE_SLOT] = cycle
         self._ck(self._c_params_ptr)
         out = self._c_out.tolist()  # one bulk read beats 6 scalar reads
-        if out[5]:
-            raise SimulationError(
-                f"compiled cycle kernel invariant failure at cycle {cycle} "
-                "(non-minimal route, unresolved routing memo, or a "
-                "completed message still owning channels)"
-            )
+        if out[4]:
+            self._kernel_error()
         self._busy_vcs += out[1]
-        self._ejecting_count = out[6]
+        self._ejecting_count = out[5]
         # Allocation consumed headers and/or ready events appended some:
         # the C-side sum is authoritative either way.
-        self._need_total = out[7]
+        self._need_total = out[6]
         fn = out[2]
-        rm = out[4]
         if fn:
             N = st.num_nodes
             af = self._f_act
@@ -2023,14 +1889,6 @@ class ArraySimulator:
                 af[x] = 1
                 act_set.add((x // N, x % N))
             self._act_any = True
-        if rm:
-            # Headers whose new routing state missed the C-side hash:
-            # resolve in Python (insertion order = C's report order, so
-            # memo ids stay deterministic).
-            cap = st.capacity
-            for mf in self._c_miss[:rm].tolist():
-                rep = mf // cap
-                self._resolve_memo(rep, mf - rep * cap)
 
     # ------------------------------------------------------------------
     # Results

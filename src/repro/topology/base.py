@@ -76,6 +76,7 @@ class Topology(abc.ABC):
 
     def __init__(self) -> None:
         self._neighbor_table: np.ndarray | None = None
+        self._pair_class_cache: tuple[np.ndarray, np.ndarray] | None = None
         self._routing_table: dict[tuple[int, int], tuple[int, ...]] | None = None
         if self.num_nodes <= self._DENSE_TABLE_LIMIT:
             self._routing_table = {}
@@ -92,6 +93,28 @@ class Topology(abc.ABC):
                     table[u, p] = self.neighbor(u, p)
             self._neighbor_table = table
         return self._neighbor_table
+
+    def pair_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Symmetry classes of ordered node pairs, for per-class route tables.
+
+        Returns ``(classes, reps)``: ``classes[cur, dst]`` (int32, N x N)
+        is the class of the pair and ``reps[k]`` one ``(cur, dst)`` pair
+        of class k.  Pairs share a class only when :meth:`distance` and
+        :meth:`profitable_ports` (port numbers at ``cur``) answer
+        identically for them.  The base class
+        claims no symmetry — every pair is its own class; vertex-
+        transitive topologies override :meth:`_pair_classes` with the
+        coarser map their automorphisms give.  Cached per instance.
+        """
+        if self._pair_class_cache is None:
+            self._pair_class_cache = self._pair_classes()
+        return self._pair_class_cache
+
+    def _pair_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        n = self.num_nodes
+        pairs = np.arange(n * n, dtype=np.int32)
+        reps = np.stack(np.divmod(pairs, n), axis=1).astype(np.int32)
+        return pairs.reshape(n, n), reps
 
     def profitable_ports(self, cur: int, dst: int) -> tuple[int, ...]:
         """Minimal-routing port choices from ``cur`` towards ``dst``.

@@ -10,6 +10,8 @@ bipartite (weight parity), so the same negative-hop machinery applies.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.topology.base import Topology
 from repro.utils.exceptions import TopologyError
 
@@ -80,6 +82,13 @@ class Hypercube(Topology):
     def _profitable_ports_uncached(self, cur: int, dst: int) -> tuple[int, ...]:
         diff = cur ^ dst
         return tuple(p for p in range(self._k) if diff >> p & 1)
+
+    def _pair_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Q_k is a Cayley graph of (Z_2)^k: a pair's routing depends
+        only on ``cur ^ dst``, and class k is represented by (k, 0)."""
+        nodes = np.arange(self._num_nodes, dtype=np.int32)
+        reps = np.stack([nodes, np.zeros_like(nodes)], axis=1)
+        return np.bitwise_xor.outer(nodes, nodes), reps
 
     def max_negative_hops(self) -> int:
         """``ceil(k/2)`` — colours alternate every hop, as in the star."""

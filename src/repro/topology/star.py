@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+import numpy as np
+
 from repro.topology import permutations as pm
 from repro.topology.base import Topology
 from repro.utils.exceptions import TopologyError
@@ -141,6 +143,32 @@ class StarGraph(Topology):
     def _profitable_ports_uncached(self, cur: int, dst: int) -> tuple[int, ...]:
         rel = pm.relative_permutation(self._perms[cur], self._perms[dst])
         return profitable_ports_of_relative(rel)
+
+    def _pair_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """S_n is a Cayley graph: a pair's routing depends only on the
+        residual permutation ``relative_permutation(cur, dst)``, so the
+        class is its rank.  The residual of (k, identity) is node k's own
+        permutation, which makes (k, 0) the representative of class k.
+
+        Vectorised: residual symbols are gathered from the inverse
+        permutations, encoded as base-(n+1) integers (lexicographic
+        order == numeric order) and ranked by binary search over the
+        sorted node labels.
+        """
+        n, N = self._n, self._num_nodes
+        perms = np.array(self._perms, dtype=np.int64)
+        inv = np.empty_like(perms)
+        inv[np.arange(N)[:, None], perms - 1] = np.arange(1, n + 1)
+        weights = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        keys = perms @ weights  # ascending: perms are in rank order
+        classes = np.empty((N, N), dtype=np.int32)
+        block = max(1, (1 << 22) // (N * n))
+        for a0 in range(0, N, block):
+            # rel(cur, dst)[i] = inv[dst][perm[cur][i] - 1]
+            rel = inv[:, perms[a0 : a0 + block] - 1]  # (dst, cur, i)
+            classes[a0 : a0 + block] = np.searchsorted(keys, rel @ weights).T
+        nodes = np.arange(N, dtype=np.int32)
+        return classes, np.stack([nodes, np.zeros_like(nodes)], axis=1)
 
     # ------------------------------------------------------------------
     # Star-specific queries used by the routing layer and the model

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["spawn_generator", "RngStreams"]
+__all__ = ["spawn_generator", "RngStreams", "ExponentialTape"]
 
 
 def spawn_generator(seed: int | None, *key: int | str) -> np.random.Generator:
@@ -74,3 +74,40 @@ class RngStreams:
     def arbiter(self) -> np.random.Generator:
         """Stream used by per-link round-robin offset randomisation."""
         return self.get("arbiter")
+
+
+class ExponentialTape:
+    """One stream's standard-exponential variates, drawn once, replayed.
+
+    ``Generator.exponential(scale)`` is ``scale * standard_exponential()``
+    variate by variate, and a block draw consumes the bitstream exactly
+    like scalar draws, so each :meth:`reader` reproduces the stream's
+    ``exponential`` draws bit for bit at its own scale.  Only valid for
+    consumers that draw nothing else from the stream.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._vals = np.empty(0)
+
+    def _upto(self, n: int) -> np.ndarray:
+        if n > self._vals.size:
+            more = self._rng.standard_exponential(max(n, 2 * self._vals.size, 64) - self._vals.size)
+            self._vals = np.concatenate((self._vals, more))
+        return self._vals
+
+    def reader(self) -> "_TapeReader":
+        """An independent cursor over the tape (starts at its first variate)."""
+        return _TapeReader(self)
+
+
+class _TapeReader:
+    def __init__(self, tape: ExponentialTape):
+        self._tape = tape
+        self._pos = 0
+
+    def exponential(self, scale: float = 1.0, size: int | None = None):
+        n = 1 if size is None else size
+        vals = self._tape._upto(self._pos + n)[self._pos : self._pos + n]
+        self._pos += n
+        return float(scale * vals[0]) if size is None else scale * vals

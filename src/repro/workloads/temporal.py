@@ -50,6 +50,9 @@ class ArrivalProcess(abc.ABC):
     """Arrival clock for one node: a stream of generation instants."""
 
     name: str = "abstract"
+    #: True when the process draws only ``rng.exponential`` — then one
+    #: stream can be replayed at several rates (``ExponentialTape``).
+    exponential_only: bool = False
 
     def __init__(self, rate: float, rng: np.random.Generator):
         if rate < 0:
@@ -100,6 +103,7 @@ class PoissonProcess(ArrivalProcess):
     """Independent exponential inter-arrivals — the paper's assumption (b)."""
 
     name = "poisson"
+    exponential_only = True
 
     def _first(self) -> float:
         return self._rng.exponential(1.0 / self.rate)

@@ -84,10 +84,18 @@ class TestProfileJson:
         assert record["total_ns"] >= sum(record["phases"].values()) > 0
         assert record["cycles"] > 0
 
+    def test_json_reports_resident_returns(self, capsys):
+        assert main(["profile", "--order", "4", "--quality", "smoke", "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert set(record["returns"]) == {"stop", "punt", "sample", "error"}
+        assert record["returns"]["stop"] >= 0 and record["returns"]["error"] == 0
+        assert 0 <= record["py_cycles"] <= record["cycles"]
+
     def test_table_mode_is_not_json(self, capsys):
         assert main(["profile", "--order", "4", "--quality", "smoke"]) == 0
         out = capsys.readouterr().out
         assert "phase" in out  # human table, not a JSON document
+        assert "resident-loop returns:" in out
 
 
 class TestTraceExport:

@@ -70,3 +70,53 @@ class TestRealBuild:
         assert fn is not None
         # Second call hits the process cache (same object).
         assert ckernel.load_kernel() is fn
+
+
+#: The release flag ladder (pinned: a sanitizer run replaces the module's).
+LADDER = (("-O3", "-march=native"), ("-O2",))
+
+
+class TestBuildCacheKey:
+    """The cache name hashes source, compiler identity and flags."""
+
+    SRC = b"int f(void) { return 0; }"
+
+    def test_flags_and_compiler_change_the_name(self, fresh_cache):
+        base = ckernel._so_path(self.SRC, "/usr/bin/cc", b"cc 1.0", ("-O3", "-march=native"))
+        assert base != ckernel._so_path(self.SRC, "/usr/bin/cc", b"cc 1.0", ("-O2",))
+        assert base != ckernel._so_path(self.SRC, "/usr/bin/cc", b"cc 1.1", ("-O3", "-march=native"))
+        assert base != ckernel._so_path(self.SRC + b" ", "/usr/bin/cc", b"cc 1.0", ("-O3", "-march=native"))
+        assert base == ckernel._so_path(self.SRC, "/usr/bin/cc", b"cc 1.0", ("-O3", "-march=native"))
+
+    @pytest.mark.skipif(ckernel._compiler() is None, reason="no C compiler")
+    def test_fallback_build_is_cached_under_its_own_flags(self, fresh_cache, monkeypatch):
+        """A rejected first flag set: the -O2 build lands under the -O2
+        name, and the next process loads it without compiling."""
+        monkeypatch.setattr(ckernel, "_FLAG_LADDER", LADDER)
+        built = []
+
+        def fake_build(cc, flags, out):
+            built.append(flags)
+            if flags != ("-O2",):
+                return False
+            out.parent.mkdir(parents=True, exist_ok=True)
+            out.write_bytes(b"")
+            return True
+
+        monkeypatch.setattr(ckernel, "_build", fake_build)
+        first = ckernel._compiled_path()
+        assert built == [("-O3", "-march=native"), ("-O2",)]
+        names = {flags: p for flags, p in _ladder_paths()}
+        assert first == names[("-O2",)] != names[("-O3", "-march=native")]
+        built.clear()
+        assert ckernel._compiled_path() == first
+        assert built == []
+
+
+def _ladder_paths():
+    import subprocess
+
+    cc = ckernel._compiler()
+    banner = subprocess.run([cc, "--version"], capture_output=True).stdout
+    source = ckernel._SOURCE.read_bytes()
+    return [(f, ckernel._so_path(source, cc, banner, f)) for f in LADDER]

@@ -18,6 +18,13 @@ from repro.simulation import ArraySimulator, simulate_batch, summarize_batch
 from repro.simulation.ckernel import load_kernel
 
 PHASES = ("generation", "activation", "route", "complete")
+COUNTERS = (
+    "returns_stop",
+    "returns_punt",
+    "returns_sample",
+    "returns_error",
+    "py_cycles",
+)
 
 
 def _results_equal(a, b) -> None:
@@ -39,7 +46,7 @@ class TestPhaseProfile:
         result = sim.run()[0]
         prof = result.phase_ns
         assert prof is not None
-        assert set(prof) == set(PHASES) | {"other", "total", "cycles"}
+        assert set(prof) == set(PHASES) | {"other", "total", "cycles"} | set(COUNTERS)
         assert prof["total"] > 0
         assert prof["cycles"] == result.cycles_run
         assert all(prof[p] >= 0 for p in PHASES)
@@ -131,3 +138,30 @@ class TestProfileKnobIsObservational:
         prof = sim.phase_profile()
         assert all(prof[p] == 0 for p in PHASES)
         assert prof["total"] == 0
+
+
+class TestReturnCounters:
+    """Resident-loop returns and Python-run cycles, counted with or
+    without profiling."""
+
+    def test_resident_loop_counts_its_returns(self, star4, quick_sim_config):
+        if load_kernel() is None:
+            pytest.skip("compiled kernel unavailable")
+        sim = ArraySimulator(star4, EnhancedNbc(), quick_sim_config)
+        sim.run()
+        prof = sim.phase_profile()
+        assert prof["returns_stop"] >= 1
+        assert prof["returns_sample"] >= 1
+        assert prof["returns_error"] == 0
+        # Every punt replays exactly one cycle through step().
+        assert prof["py_cycles"] == prof["returns_punt"]
+
+    def test_per_cycle_driver_runs_every_cycle_in_python(
+        self, star4, quick_sim_config, monkeypatch
+    ):
+        monkeypatch.setenv("STARNET_NO_RESIDENT", "1")
+        sim = ArraySimulator(star4, EnhancedNbc(), quick_sim_config)
+        sim.run()
+        prof = sim.phase_profile()
+        assert prof["py_cycles"] == prof["cycles"] == sim.cycle
+        assert all(prof[k] == 0 for k in COUNTERS if k.startswith("returns_"))

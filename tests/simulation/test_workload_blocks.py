@@ -153,6 +153,35 @@ class TestRaggedBatchInvariance:
                 np.isnan(got.latency_ci) and np.isnan(solo.latency_ci)
             )
 
+    @pytest.mark.parametrize("block", [None, 3])
+    def test_shared_seed_reps_draw_their_solo_streams(self, star4, monkeypatch, block):
+        """Reps sharing a seed share destination blocks and Poisson
+        traffic tapes, never values: each rep's generation events equal
+        its solo run's."""
+        import repro.simulation.kernels as kernels_mod
+
+        if block is not None:
+            monkeypatch.setattr(kernels_mod, "_GEN_BLOCK", block)
+        # Same seed: the faster rep draws each node's blocks first until
+        # its shorter window stops it; the slower reps then draw the rest.
+        configs = [
+            small_config(seed=5, generation_rate=0.006, measure_cycles=600),
+            small_config(seed=5, generation_rate=0.004),
+            small_config(seed=5, generation_rate=0.003, measure_cycles=2_500),
+            small_config(seed=6, generation_rate=0.004),
+        ]
+
+        def events(sim):
+            out = {rep: [] for rep in range(len(sim.configs))}
+            sim._gen_hook = lambda rep, node, t, dst: out[rep].append((node, t, dst))
+            sim.run()
+            return out
+
+        batched = events(ArraySimulator(star4, EnhancedNbc(), configs=configs))
+        for rep, cfg in enumerate(configs):
+            solo = events(ArraySimulator(star4, EnhancedNbc(), cfg))[0]
+            assert solo and batched[rep] == solo
+
     def test_simulate_many_matches_solo_and_object_order(self, star4):
         configs = [
             small_config(seed=31, engine="array"),

@@ -47,3 +47,18 @@ class TestRngStreams:
         x = RngStreams(3).traffic(5).random(6)
         y = RngStreams(3).traffic(5).random(6)
         assert np.array_equal(x, y)
+
+
+class TestExponentialTape:
+    def test_readers_replay_exponential_draws_at_any_scale(self):
+        """Scalar and block draws, interleaved, match a fresh stream's."""
+        from repro.utils.rng import ExponentialTape
+
+        tape = ExponentialTape(spawn_generator(3, "traffic", 1))
+        for scale in (0.5, 7.25, 1e3):
+            ref = spawn_generator(3, "traffic", 1)
+            reader = tape.reader()
+            assert reader.exponential(scale) == ref.exponential(scale)
+            got = reader.exponential(scale, size=100)
+            assert got.tolist() == ref.exponential(scale, size=100).tolist()
+            assert reader.exponential(scale) == ref.exponential(scale)
