@@ -143,11 +143,11 @@ def test_bench_campaign_threaded_sweep(benchmark, once):
     from repro.core.spec import ModelSpec
     from repro.routing import EnhancedNbc
     from repro.simulation import ArraySimulator, SimulationConfig
-    from repro.simulation.ckernel import load_kernel
+    from repro.simulation.ckernel import load_bundle
     from repro.topology import StarGraph
 
     cpus = os.cpu_count() or 1
-    if load_kernel() is None:
+    if load_bundle() is None:
         pytest.skip("compiled cycle kernel unavailable (no C compiler)")
     if cpus < 4:
         pytest.skip(f"threaded speedup gate needs >= 4 CPUs, have {cpus}")

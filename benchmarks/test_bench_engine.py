@@ -29,7 +29,7 @@ from repro.simulation import (
     simulate_batch,
     summarize_batch,
 )
-from repro.simulation.ckernel import load_kernel
+from repro.simulation.ckernel import load_bundle
 from repro.topology import StarGraph
 
 REPLICATIONS = 16
@@ -54,7 +54,7 @@ def _config(message_length: int, **windows) -> SimulationConfig:
 
 def test_bench_engine_speedup_s4(benchmark):
     """Array backend >= 10x the object backend on a 16-replication batch."""
-    if load_kernel() is None:
+    if load_bundle() is None:
         pytest.skip("array backend's compiled cycle kernel unavailable (no C compiler)")
     topology = StarGraph(4)
     cfg = _config(128, warmup_cycles=500, measure_cycles=3_000, drain_cycles=3_000)
@@ -131,10 +131,10 @@ def test_bench_array_batch_16rep_s5(benchmark, once):
 
     V=6, M=32, 0.4 x saturation, smoke windows.  The resident C loop
     must stay resident here: the route tables answer every routing
-    state, so only uniform-buffer and ejection-row refills re-enter
-    Python (recorded as ``py_cycle_share``).
+    state and refills are serviced between C cycles, so no cycle runs
+    in Python (recorded as ``py_cycle_share``).
     """
-    if load_kernel() is None:
+    if load_bundle() is None:
         pytest.skip("array backend's compiled cycle kernel unavailable (no C compiler)")
     sat = (
         ModelSpec(topology="star", order=5, message_length=32, total_vcs=6)

@@ -1,13 +1,19 @@
-/* Cycle megakernel for the array backend: VC allocation, switch
- * traversal and ejection — the whole per-cycle hot path of
- * repro.simulation.kernels in one call — plus a cycle-resident driver
- * (starnet_run) that also runs generation, activation and the watchdog
- * in C and returns to Python only on events the Python side must
- * handle (uniform/ejection-row refills, pool growth, sampling, stops).
+/* Cycle-resident megakernel for the array backend.  One entry point,
+ * starnet_run, loops whole cycles of repro.simulation.kernels in C —
+ * generation, activation, VC allocation, switch traversal, ejection,
+ * completion bookkeeping, the watchdog and time-series probes — and
+ * returns to Python only on events the Python side must service: a
+ * message-pool, uniform-buffer or ejection-row refill (Python grows or
+ * refills, then re-enters at the same cycle), a channel-load sample, a
+ * replication's stop, or an error.  Arrival and destination blocks are
+ * refilled through a callback without leaving the loop.  run_state[6]
+ * bounds the loop to a cycle count: ArraySimulator.step() is a one-
+ * cycle bound of the same loop.
  *
  * Semantically identical to the Python/numpy passes in kernels.py (the
- * fallback): allocation walks each replication's pending headers in a
- * freshly shuffled order and claims free VCs per the selection policy;
+ * fallback and bit-identity oracle): allocation walks each
+ * replication's pending headers in a freshly shuffled order and claims
+ * free VCs per the selection policy;
  * transfers and ejections are two-phase (winners picked from pre-cycle
  * state, then applied).  kernels.py asserts bit-identical results
  * between both paths, so any change here must be mirrored there.
@@ -47,8 +53,8 @@
  * bit-identical for every thread count by construction.
  *
  * All arguments arrive through one int64 parameter block (pointers cast
- * to int64) so the per-cycle ctypes call marshals a single argument.
- * Slot layout must match kernels.ArraySimulator._refresh_c_args:
+ * to int64) so each ctypes call marshals a single argument.  Slot
+ * layout must match kernels.ArraySimulator._refresh_c_args:
  *
  *   0 bd          (int32*, R*CV)  packed buffered | delivered << 16
  *   1 avail       (int32*, R*CV)  flits available to pull
@@ -70,110 +76,106 @@
  *  22 ej_flats    (int64*)        head VC of each draining message
  *  23 ej_mflats   (int64*)        message-array index of each
  *  24 ej_pos      (int64*, R*cap) column position per message (-1)
- *  25 ej_n                        entries on input
- *  26 ej_k        (int32*, scratch)
- *  27 winners     (int64*, scratch R*C, per-rep region C)
- *  28 fin_nodes   (int64*, out)   rep*N + node of finished injections
- *  29 completions (int64*, out)   ej-column index of completed messages
- *  30 out_counts  (int64*, 8)     {grants, busy_delta, fin, completions,
- *                                  error, ej_n_new, need_total, 0}
- *  31 busy        (uint8*, R*C)   owned-VC count per channel
- *  32 do_alloc                    run the allocation phase here?
- *  33 cycle
- *  34 policy       0 adaptive-first, 1 lowest-escape, 2 random
- *  35 num_adaptive
- *  36 deg
- *  37 need_slots  (int32*, R*cap) pending headers, compacted in place
- *  38 need_n      (int64*, R)     in/out pending counts
- *  39 p_dst  40 p_header  41 p_dist  42 p_floor  43 p_hops
- *  44 p_first  45 p_head_vc   (all int32*, R*cap)
- *  46 pair_class  (int32*, N*N)   symmetry class of (node, destination)
- *  47 class_dist  (int32*)        distance per pair class
- *  48 route_combo (int32*)        candidate list per routing state id
+ *  25 ej_k        (int32*, scratch)
+ *  26 winners     (int64*, scratch R*C, per-rep region C)
+ *  27 fin_nodes   (int64*, out)   rep*N + node of finished injections
+ *  28 completions (int64*, out)   ej-column index of completed messages
+ *  29 busy        (uint8*, R*C)   owned-VC count per channel
+ *  30 policy       0 adaptive-first, 1 lowest-escape, 2 random
+ *  31 num_adaptive
+ *  32 deg
+ *  33 need_slots  (int32*, R*cap) pending headers, compacted in place
+ *  34 need_n      (int64*, R)     in/out pending counts
+ *  35 p_dst  36 p_header  37 p_dist  38 p_floor  39 p_hops
+ *  40 p_first  41 p_head_vc   (all int32*, R*cap)
+ *  42 pair_class  (int32*, N*N)   symmetry class of (node, destination)
+ *  43 class_dist  (int32*)        distance per pair class
+ *  44 route_combo (int32*)        candidate list per routing state id
  *                                  ((class*2 + colour)*F + floor)*H
  *                                  + hops; -1: state rejected
- *  49 cand_off  50 cand_alen  51 cand_elen (int32*, per candidate list)
- *  52 cand        (int32*)        VC offsets from the node's first VC
- *  53 route_F     escape floors   54 route_H  hops (table extents)
- *  55 alloc_buf   (double*, R*buf_cap) pre-drawn uniforms
- *  56 buf_cap     57 alloc_pos (int64*, R)
- *  58 neighbors   (int32*, C)     node reached through each channel
- *  59 color       (uint8*, N)     1 on "negative-hop" nodes
- *  60 msg_measured(uint8*, R*cap)
- *  61 msg_t_inject(double*, R*cap)
- *  62 alloc_attempts (int64*, R)  63 alloc_failures (int64*, R)
- *  64 injected    (int64*, R)     measured injections in window
- *  65 hb_req  66 hb_blk  67 hb_wait (int64*, R*(hb_max+1))
- *  68 hb_max
- *  69 msg_t_gen   (double*, R*cap) generation instant per message
- *  70 in_flight   (int64*, R)     live message counts
- *  71 meas_flight (int64*, R)     live *measured* message counts
- *  72 completed   (int64*, R)     cumulative completions
- *  73 free_stack  (int32*, R*cap) free-slot stacks  74 free_n (int64*, R)
- *  75 lat_sum     (double*, R)    total-latency accumulator
- *  76 net_sum     (double*, R)    network-latency accumulator
- *  77 srcw_sum    (double*, R)    source-wait accumulator
- *  78 mcount      (int64*, R)     measured completions
- *  79 lat_bsum    (double*, R*Bmax) per-batch latency sums
- *  80 lat_bcount  (int64*, R*Bmax)  per-batch latency counts
- *  81 w_t0        (double*, R)    measurement-window start per rep
- *  82 w_width     (double*, R)    batch width per rep
- *  83 w_batches   (int64*, R)     batch count per rep  84 Bmax
+ *  45 cand_off  46 cand_alen  47 cand_elen (int32*, per candidate list)
+ *  48 cand        (int32*)        VC offsets from the node's first VC
+ *  49 route_F     escape floors   50 route_H  hops (table extents)
+ *  51 alloc_buf   (double*, R*buf_cap) pre-drawn uniforms
+ *  52 buf_cap     53 alloc_pos (int64*, R)
+ *  54 neighbors   (int32*, C)     node reached through each channel
+ *  55 color       (uint8*, N)     1 on "negative-hop" nodes
+ *  56 msg_measured(uint8*, R*cap)
+ *  57 msg_t_inject(double*, R*cap)
+ *  58 alloc_attempts (int64*, R)  59 alloc_failures (int64*, R)
+ *  60 injected    (int64*, R)     measured injections in window
+ *  61 hb_req  62 hb_blk  63 hb_wait (int64*, R*(hb_max+1))
+ *  64 hb_max
+ *  65 msg_t_gen   (double*, R*cap) generation instant per message
+ *  66 in_flight   (int64*, R)     live message counts
+ *  67 meas_flight (int64*, R)     live *measured* message counts
+ *  68 completed   (int64*, R)     cumulative completions
+ *  69 free_stack  (int32*, R*cap) free-slot stacks  70 free_n (int64*, R)
+ *  71 lat_sum     (double*, R)    total-latency accumulator
+ *  72 net_sum     (double*, R)    network-latency accumulator
+ *  73 srcw_sum    (double*, R)    source-wait accumulator
+ *  74 mcount      (int64*, R)     measured completions
+ *  75 lat_bsum    (double*, R*Bmax) per-batch latency sums
+ *  76 lat_bcount  (int64*, R*Bmax)  per-batch latency counts
+ *  77 w_t0        (double*, R)    measurement-window start per rep
+ *  78 w_width     (double*, R)    batch width per rep
+ *  79 w_batches   (int64*, R)     batch count per rep  80 Bmax
  *
- * Threading + resident-driver slots (85+):
+ * Threading + resident-driver slots (81+):
  *
- *  85 tstage      (int64*, R*8)   per-rep staging {grants, busy_delta,
+ *  81 tstage      (int64*, R*8)   per-rep staging {spare, busy_delta,
  *                                  fin_n, err, newej_n, newej_base,
  *                                  bucket_end, spare}
- *  86 threads                     thread count (1: serial)
- *  87 pool                        Pool* from starnet_pool_new (0: none)
- *  88 gen_node_t  (double*, R*N)  next arrival instant per node
- *  89 gen_next    (double*, R)    cached per-rep minimum of gen_node_t
- *  90 arr_buf     (double*, R*N*GB) pre-drawn arrival blocks
- *  91 arr_pos     (int32*, R*N)   cursor into arr_buf
- *  92 arr_len     (int32*, R*N)   valid entries in arr_buf
- *  93 dst_buf     (int32*, R*N*GB) pre-drawn destination blocks
- *  94 dst_pos     (int32*, R*N)  95 dst_len (int32*, R*N)
- *  96 GB                          generation block size
- *  97 qnext       (int32*, R*cap) source-queue links (next slot or -1)
- *  98 qhead  99 qtail  100 qlen  (int32*, R*N) per-node queues
- * 101 act         (uint8*, R*N)   nodes with pending activations
- * 102 cb                          refill callback
+ *  82 threads                     thread count (1: serial)
+ *  83 pool                        Pool* from starnet_pool_new (0: none)
+ *  84 gen_node_t  (double*, R*N)  next arrival instant per node
+ *  85 gen_next    (double*, R)    cached per-rep minimum of gen_node_t
+ *  86 arr_buf     (double*, R*N*GB) pre-drawn arrival blocks
+ *  87 arr_pos     (int32*, R*N)   cursor into arr_buf
+ *  88 arr_len     (int32*, R*N)   valid entries in arr_buf
+ *  89 dst_buf     (int32*, R*N*GB) pre-drawn destination blocks
+ *  90 dst_pos     (int32*, R*N)  91 dst_len (int32*, R*N)
+ *  92 GB                          generation block size
+ *  93 qnext       (int32*, R*cap) source-queue links (next slot or -1)
+ *  94 qhead  95 qtail  96 qlen  (int32*, R*N) per-node queues
+ *  97 act         (uint8*, R*N)   nodes with pending activations
+ *  98 cb                          refill callback
  *                                  int64 cb(kind, rep, node):
  *                                  0 arrival-block refill
  *                                  1 dest-block refill
  *                                  negative return: Python exception
- * 103 generated   (int64*, R)  104 meas_generated (int64*, R)
- * 105 warm        (int64*, R)  106 horizon (int64*, R)
- * 107 end         (int64*, R)     horizon + drain budget
- * 108 active      (uint8*, R)     1 until the rep's result is frozen
- * 109 slots                       injection slots per node
- * 110 grace                       watchdog grace (cycles)
- * 111 marks       (int64*, R)  112 lastp (int64*, R)  watchdog state
- * 113 sample_interval
- * 114 ugate       (int64*, 2)     {headroom, spend} uniform gate
- * 115 ej_cap_rows                 ejection-column capacity
- * 116 run_state   (int64*, 8)     in/out {cycle, busy_vcs, ej_n,
- *                                  need_total, reason, aux, 0, 0}
- * 117 prof        (int64*, 8)     phase-profiling ns accumulators, or 0
+ *  99 generated   (int64*, R)  100 meas_generated (int64*, R)
+ * 101 warm        (int64*, R)  102 horizon (int64*, R)
+ * 103 end         (int64*, R)     horizon + drain budget
+ * 104 active      (uint8*, R)     1 until the rep's result is frozen
+ * 105 slots                       injection slots per node
+ * 106 grace                       watchdog grace (cycles)
+ * 107 marks       (int64*, R)  108 lastp (int64*, R)  watchdog state
+ * 109 sample_interval
+ * 110 ugate       (int64*, 2)     {headroom, spend} uniform gate
+ * 111 ej_cap_rows                 ejection-column capacity
+ * 112 run_state   (int64*, 8)     in/out {cycle, busy_vcs, ej_n,
+ *                                  need_total, reason, aux, stop_at
+ *                                  (< 0: unbounded), 0}
+ * 113 prof        (int64*, 8)     phase-profiling ns accumulators, or 0
  *                                  when profiling is off: {generation,
  *                                  activation, route, complete, -, -,
  *                                  -, -} (total/cycles live Python-side;
  *                                  see ArraySimulator.phase_profile)
  *
- * Time-series probe slots (118+), the same NULL-pointer = zero-overhead
- * contract as slot 117 (see probe_sample / docs/observability.md):
+ * Time-series probe slots (114+), the same NULL-pointer = zero-overhead
+ * contract as slot 113 (see probe_sample / docs/observability.md):
  *
- * 118 pb_data     (int64*, cap*R*(3+V+1)) sample ring buffer, or 0
+ * 114 pb_data     (int64*, cap*R*(3+V+1)) sample ring buffer, or 0
  *                                  when probing is off; one sample is
  *                                  R rows of {in_flight, completed,
  *                                  backlog, occupancy histogram 0..V}
- * 119 pb_cycles   (int64*, cap)   cycle stamp per sample
- * 120 pb_state    (int64*, 1)     {sample count} — shared with the
+ * 115 pb_cycles   (int64*, cap)   cycle stamp per sample
+ * 116 pb_state    (int64*, 1)     {sample count} — shared with the
  *                                  Python-driven cycles so both append
  *                                  to the same ring
- * 121 pb_interval                 cycles between samples
- * 122 pb_cap                      ring capacity (samples)
+ * 117 pb_interval                 cycles between samples
+ * 118 pb_cap                      ring capacity (samples)
  */
 
 #include <stdint.h>
@@ -181,22 +183,22 @@
 #include <pthread.h>
 #include <time.h>
 
-/* Widest candidate list the on-stack free-VC scratch supports; the
- * Python side keeps do_alloc = 0 when deg * V exceeds it. */
-#define ALLOC_SCRATCH 512
-
-/* starnet_run return reasons (bitmask; mirrored in kernels.py). */
-#define RUN_STOP 1     /* a replication reached its stop condition      */
-#define RUN_PUNT 2     /* Python must run this cycle via step()         */
-#define RUN_SAMPLE 4   /* channel-load sample due (cycle finished)      */
-#define RUN_WATCHDOG 8 /* stalled: Python raises SimulationError        */
-#define RUN_CBERR 16   /* refill callback raised                        */
-#define RUN_ERR 32     /* kernel invariant failure or rejected route    */
+/* starnet_run return reasons (bitmask; mirrored in kernels.py).  The
+ * three refill reasons return before the cycle consumes anything that
+ * needs the refill; Python services them and re-enters at that cycle. */
+#define RUN_STOP 1       /* a replication reached its stop condition    */
+#define RUN_POOL 2       /* message pool exhausted: Python grows it     */
+#define RUN_SAMPLE 4     /* channel-load sample due (cycle finished)    */
+#define RUN_WATCHDOG 8   /* stalled: Python raises SimulationError      */
+#define RUN_CBERR 16     /* refill callback raised                      */
+#define RUN_ERR 32       /* kernel invariant failure or rejected route  */
+#define RUN_UNIFORMS 64  /* a uniform-buffer row may run short          */
+#define RUN_EJ_ROWS 128  /* ejection columns may outgrow their rows    */
 
 typedef int64_t (*starnet_cb)(int64_t kind, int64_t a, int64_t b);
 
 /* Decoded parameter block; pointers stay valid for the whole call
- * (growth events punt back to Python before anything reallocates). */
+ * (growth events return to Python before anything reallocates). */
 typedef struct Ctx {
     int32_t *bd, *avail, *owner, *up, *down, *rr;
     const int8_t *lut;
@@ -209,7 +211,7 @@ typedef struct Ctx {
     int64_t cap, N;
     int64_t *ej_reps, *ej_slots, *ej_flats, *ej_mflats, *ej_pos;
     int32_t *ej_k;
-    int64_t *winners, *fin_nodes, *completions, *out_counts;
+    int64_t *winners, *fin_nodes, *completions;
     uint8_t *busy;
     int64_t policy;
     int32_t num_adaptive;
@@ -309,101 +311,100 @@ static void decode(Ctx *c, int64_t *P)
     c->ej_flats = (int64_t *)P[22];
     c->ej_mflats = (int64_t *)P[23];
     c->ej_pos = (int64_t *)P[24];
-    c->ej_k = (int32_t *)P[26];
-    c->winners = (int64_t *)P[27];
-    c->fin_nodes = (int64_t *)P[28];
-    c->completions = (int64_t *)P[29];
-    c->out_counts = (int64_t *)P[30];
-    c->busy = (uint8_t *)P[31];
-    c->policy = P[34];
-    c->num_adaptive = (int32_t)P[35];
-    c->deg = P[36];
-    c->need_slots = (int32_t *)P[37];
-    c->need_n = (int64_t *)P[38];
-    c->p_dst = (int32_t *)P[39];
-    c->p_header = (int32_t *)P[40];
-    c->p_dist = (int32_t *)P[41];
-    c->p_floor = (int32_t *)P[42];
-    c->p_hops = (int32_t *)P[43];
-    c->p_first = (int32_t *)P[44];
-    c->p_head_vc = (int32_t *)P[45];
-    c->pair_class = (const int32_t *)P[46];
-    c->class_dist = (const int32_t *)P[47];
-    c->route_combo = (const int32_t *)P[48];
-    c->cand_off = (const int32_t *)P[49];
-    c->cand_alen = (const int32_t *)P[50];
-    c->cand_elen = (const int32_t *)P[51];
-    c->cand = (const int32_t *)P[52];
-    c->route_F = P[53];
-    c->route_H = P[54];
-    c->alloc_buf = (const double *)P[55];
-    c->buf_cap = P[56];
-    c->alloc_pos = (int64_t *)P[57];
-    c->neighbors = (const int32_t *)P[58];
-    c->color = (const uint8_t *)P[59];
-    c->measured = (uint8_t *)P[60];
-    c->t_inject = (double *)P[61];
-    c->alloc_attempts = (int64_t *)P[62];
-    c->alloc_failures = (int64_t *)P[63];
-    c->injected = (int64_t *)P[64];
-    c->hb_req = (int64_t *)P[65];
-    c->hb_blk = (int64_t *)P[66];
-    c->hb_wait = (int64_t *)P[67];
-    c->hb_max = P[68];
-    c->t_gen = (double *)P[69];
-    c->in_flight = (int64_t *)P[70];
-    c->meas_flight = (int64_t *)P[71];
-    c->completed = (int64_t *)P[72];
-    c->free_stack = (int32_t *)P[73];
-    c->free_n = (int64_t *)P[74];
-    c->lat_sum = (double *)P[75];
-    c->net_sum = (double *)P[76];
-    c->srcw_sum = (double *)P[77];
-    c->mcount = (int64_t *)P[78];
-    c->lat_bsum = (double *)P[79];
-    c->lat_bcount = (int64_t *)P[80];
-    c->w_t0 = (const double *)P[81];
-    c->w_width = (const double *)P[82];
-    c->w_batches = (const int64_t *)P[83];
-    c->Bmax = P[84];
-    c->tstage = (int64_t *)P[85];
-    c->threads = P[86];
-    c->pool = (struct Pool *)P[87];
-    c->gen_node_t = (double *)P[88];
-    c->gen_next = (double *)P[89];
-    c->arr_buf = (double *)P[90];
-    c->arr_pos = (int32_t *)P[91];
-    c->arr_len = (int32_t *)P[92];
-    c->dst_buf = (int32_t *)P[93];
-    c->dst_pos = (int32_t *)P[94];
-    c->dst_len = (int32_t *)P[95];
-    c->GB = P[96];
-    c->qnext = (int32_t *)P[97];
-    c->qhead = (int32_t *)P[98];
-    c->qtail = (int32_t *)P[99];
-    c->qlen = (int32_t *)P[100];
-    c->act = (uint8_t *)P[101];
-    c->cb = (starnet_cb)(intptr_t)P[102];
-    c->generated = (int64_t *)P[103];
-    c->meas_generated = (int64_t *)P[104];
-    c->warm = (const int64_t *)P[105];
-    c->horizon = (const int64_t *)P[106];
-    c->end = (const int64_t *)P[107];
-    c->active = (uint8_t *)P[108];
-    c->slots = P[109];
-    c->grace = P[110];
-    c->marks = (int64_t *)P[111];
-    c->lastp = (int64_t *)P[112];
-    c->sample_interval = P[113];
-    c->ugate = (int64_t *)P[114];
-    c->ej_cap_rows = P[115];
-    c->run_state = (int64_t *)P[116];
-    c->prof = (int64_t *)P[117];
-    c->pb_data = (int64_t *)P[118];
-    c->pb_cycles = (int64_t *)P[119];
-    c->pb_state = (int64_t *)P[120];
-    c->pb_interval = P[121];
-    c->pb_cap = P[122];
+    c->ej_k = (int32_t *)P[25];
+    c->winners = (int64_t *)P[26];
+    c->fin_nodes = (int64_t *)P[27];
+    c->completions = (int64_t *)P[28];
+    c->busy = (uint8_t *)P[29];
+    c->policy = P[30];
+    c->num_adaptive = (int32_t)P[31];
+    c->deg = P[32];
+    c->need_slots = (int32_t *)P[33];
+    c->need_n = (int64_t *)P[34];
+    c->p_dst = (int32_t *)P[35];
+    c->p_header = (int32_t *)P[36];
+    c->p_dist = (int32_t *)P[37];
+    c->p_floor = (int32_t *)P[38];
+    c->p_hops = (int32_t *)P[39];
+    c->p_first = (int32_t *)P[40];
+    c->p_head_vc = (int32_t *)P[41];
+    c->pair_class = (const int32_t *)P[42];
+    c->class_dist = (const int32_t *)P[43];
+    c->route_combo = (const int32_t *)P[44];
+    c->cand_off = (const int32_t *)P[45];
+    c->cand_alen = (const int32_t *)P[46];
+    c->cand_elen = (const int32_t *)P[47];
+    c->cand = (const int32_t *)P[48];
+    c->route_F = P[49];
+    c->route_H = P[50];
+    c->alloc_buf = (const double *)P[51];
+    c->buf_cap = P[52];
+    c->alloc_pos = (int64_t *)P[53];
+    c->neighbors = (const int32_t *)P[54];
+    c->color = (const uint8_t *)P[55];
+    c->measured = (uint8_t *)P[56];
+    c->t_inject = (double *)P[57];
+    c->alloc_attempts = (int64_t *)P[58];
+    c->alloc_failures = (int64_t *)P[59];
+    c->injected = (int64_t *)P[60];
+    c->hb_req = (int64_t *)P[61];
+    c->hb_blk = (int64_t *)P[62];
+    c->hb_wait = (int64_t *)P[63];
+    c->hb_max = P[64];
+    c->t_gen = (double *)P[65];
+    c->in_flight = (int64_t *)P[66];
+    c->meas_flight = (int64_t *)P[67];
+    c->completed = (int64_t *)P[68];
+    c->free_stack = (int32_t *)P[69];
+    c->free_n = (int64_t *)P[70];
+    c->lat_sum = (double *)P[71];
+    c->net_sum = (double *)P[72];
+    c->srcw_sum = (double *)P[73];
+    c->mcount = (int64_t *)P[74];
+    c->lat_bsum = (double *)P[75];
+    c->lat_bcount = (int64_t *)P[76];
+    c->w_t0 = (const double *)P[77];
+    c->w_width = (const double *)P[78];
+    c->w_batches = (const int64_t *)P[79];
+    c->Bmax = P[80];
+    c->tstage = (int64_t *)P[81];
+    c->threads = P[82];
+    c->pool = (struct Pool *)P[83];
+    c->gen_node_t = (double *)P[84];
+    c->gen_next = (double *)P[85];
+    c->arr_buf = (double *)P[86];
+    c->arr_pos = (int32_t *)P[87];
+    c->arr_len = (int32_t *)P[88];
+    c->dst_buf = (int32_t *)P[89];
+    c->dst_pos = (int32_t *)P[90];
+    c->dst_len = (int32_t *)P[91];
+    c->GB = P[92];
+    c->qnext = (int32_t *)P[93];
+    c->qhead = (int32_t *)P[94];
+    c->qtail = (int32_t *)P[95];
+    c->qlen = (int32_t *)P[96];
+    c->act = (uint8_t *)P[97];
+    c->cb = (starnet_cb)(intptr_t)P[98];
+    c->generated = (int64_t *)P[99];
+    c->meas_generated = (int64_t *)P[100];
+    c->warm = (const int64_t *)P[101];
+    c->horizon = (const int64_t *)P[102];
+    c->end = (const int64_t *)P[103];
+    c->active = (uint8_t *)P[104];
+    c->slots = P[105];
+    c->grace = P[106];
+    c->marks = (int64_t *)P[107];
+    c->lastp = (int64_t *)P[108];
+    c->sample_interval = P[109];
+    c->ugate = (int64_t *)P[110];
+    c->ej_cap_rows = P[111];
+    c->run_state = (int64_t *)P[112];
+    c->prof = (int64_t *)P[113];
+    c->pb_data = (int64_t *)P[114];
+    c->pb_cycles = (int64_t *)P[115];
+    c->pb_state = (int64_t *)P[116];
+    c->pb_interval = P[117];
+    c->pb_cap = P[118];
     c->ms = (int64_t)c->M << 16;
     c->CV = c->C * c->V;
 }
@@ -446,7 +447,7 @@ static void probe_sample(const Ctx *c, int64_t cycle)
  * order matches the serial kernel's global phase order because no
  * phase reads another replication's state. */
 static void rep_phases(const Ctx *c, int64_t r0, int64_t r1,
-                       int64_t cycle, int64_t do_alloc, int64_t ej_n_old)
+                       int64_t cycle, int64_t do_alloc)
 {
     const int64_t C = c->C, V = c->V, cap = c->cap, N = c->N;
     const int64_t CV = c->CV;
@@ -456,6 +457,8 @@ static void rep_phases(const Ctx *c, int64_t r0, int64_t r1,
     int32_t *bd = c->bd, *avail = c->avail, *owner = c->owner;
     int32_t *up = c->up, *down = c->down, *rr = c->rr;
     uint8_t *busy = c->busy;
+    /* Free-VC scratch: a candidate list holds at most deg * V VCs. */
+    int32_t fa[c->deg * V], fe[c->deg * V];
 
     for (int64_t r = r0; r < r1; ++r) {
         int64_t *ts = c->tstage + r * 8;
@@ -502,7 +505,6 @@ static void rep_phases(const Ctx *c, int64_t r0, int64_t r1,
                 const int32_t alen = c->cand_alen[u];
                 const int32_t elen = c->cand_elen[u];
                 const int32_t vbase = (int32_t)(hdr * c->deg * V);
-                int32_t fa[ALLOC_SCRATCH], fe[ALLOC_SCRATCH];
                 int64_t na = 0, ne = 0;
                 for (int32_t j = 0; j < alen; ++j) {
                     const int32_t f = vbase + cand[j];
@@ -737,7 +739,6 @@ static void rep_phases(const Ctx *c, int64_t r0, int64_t r1,
                 c->ej_k[i] = -1;
         }
 
-        ts[0] = grants_r;
         ts[1] = busy_delta_r;
         ts[2] = fn_r;
         ts[3] = err_r;
@@ -761,7 +762,7 @@ typedef struct Pool {
     int shutdown;
     /* current job */
     const Ctx *ctx;
-    int64_t cycle, do_alloc, ej_n_old;
+    int64_t cycle, do_alloc;
 } Pool;
 
 typedef struct WArg {
@@ -785,11 +786,9 @@ static void *pool_worker(void *varg)
         const Ctx *c = p->ctx;
         const int64_t cycle = p->cycle;
         const int64_t do_alloc = p->do_alloc;
-        const int64_t ej_n_old = p->ej_n_old;
         const int64_t T = p->nthreads;
         pthread_mutex_unlock(&p->mu);
-        rep_phases(c, c->R * k / T, c->R * (k + 1) / T,
-                   cycle, do_alloc, ej_n_old);
+        rep_phases(c, c->R * k / T, c->R * (k + 1) / T, cycle, do_alloc);
         pthread_mutex_lock(&p->mu);
         p->finished += 1;
         pthread_cond_signal(&p->done);
@@ -867,7 +866,7 @@ void starnet_pool_free(int64_t pool)
 /* ------------------------------------------------------------------ */
 
 typedef struct CycleOut {
-    int64_t grants, busy_delta, fn, cn, err, ej_n, need_total;
+    int64_t busy_delta, fn, err, ej_n, need_total;
 } CycleOut;
 
 static void run_phases(const Ctx *c, int64_t cycle, int64_t do_alloc,
@@ -912,26 +911,24 @@ static void run_phases(const Ctx *c, int64_t cycle, int64_t do_alloc,
         p->ctx = c;
         p->cycle = cycle;
         p->do_alloc = do_alloc;
-        p->ej_n_old = ej_n_old;
         p->finished = 0;
         p->seq += 1;
         pthread_cond_broadcast(&p->go);
         pthread_mutex_unlock(&p->mu);
-        rep_phases(c, 0, R / p->nthreads, cycle, do_alloc, ej_n_old);
+        rep_phases(c, 0, R / p->nthreads, cycle, do_alloc);
         pthread_mutex_lock(&p->mu);
         while (p->finished < p->nthreads - 1)
             pthread_cond_wait(&p->done, &p->mu);
         pthread_mutex_unlock(&p->mu);
     } else {
-        rep_phases(c, 0, R, cycle, do_alloc, ej_n_old);
+        rep_phases(c, 0, R, cycle, do_alloc);
     }
 
     /* Serial merge, ascending replication order == serial phase order. */
-    int64_t grants = 0, busy_delta = 0, err = 0;
+    int64_t busy_delta = 0, err = 0;
     int64_t ej_n = ej_n_old;
     for (int64_t r = 0; r < R; ++r) {
         const int64_t *ts = c->tstage + r * 8;
-        grants += ts[0];
         busy_delta += ts[1];
         if (ts[3])
             err = 1;
@@ -1024,35 +1021,11 @@ static void run_phases(const Ctx *c, int64_t cycle, int64_t do_alloc,
     if (c->prof)
         c->prof[3] += prof_now(c->prof) - pt1;
 
-    o->grants = grants;
     o->busy_delta = busy_delta;
     o->fn = fn;
-    o->cn = cn;
     o->err = err;
     o->ej_n = ej_n;
     o->need_total = need_total;
-}
-
-static void write_out(const Ctx *c, const CycleOut *o)
-{
-    int64_t *out = c->out_counts;
-    out[0] = o->grants;
-    out[1] = o->busy_delta;
-    out[2] = o->fn;
-    out[3] = o->cn;
-    out[4] = o->err;
-    out[5] = o->ej_n;
-    out[6] = o->need_total;
-}
-
-int64_t starnet_cycle(int64_t *P)
-{
-    Ctx c;
-    decode(&c, P);
-    CycleOut o;
-    run_phases(&c, P[33], P[32], P[25], &o);
-    write_out(&c, &o);
-    return o.grants;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1060,7 +1033,7 @@ int64_t starnet_cycle(int64_t *P)
 /* ------------------------------------------------------------------ */
 
 #define GEN_OK 0
-#define GEN_PUNT 1
+#define GEN_POOL 1
 #define GEN_CBERR 2
 
 /* Arrival generation, the C twin of ArraySimulator._generate.  Each
@@ -1094,10 +1067,10 @@ static int gen_cycle(const Ctx *c, int64_t cycle, int *act_any)
                 break;
             }
             if (c->free_n[r] == 0) {
-                /* message pool exhausted: Python grows it and runs
-                 * this cycle via step(); nothing consumed yet. */
+                /* message pool exhausted: Python grows it and re-enters
+                 * this cycle, which resumes with this arrival. */
                 c->gen_next[r] = best;
-                return GEN_PUNT;
+                return GEN_POOL;
             }
             /* destination draw */
             const int64_t rn = rN + node;
@@ -1194,6 +1167,7 @@ int64_t starnet_run(int64_t *P)
     int64_t busy_vcs = RS[1];
     int64_t ej_n = RS[2];
     int64_t need_total = RS[3];
+    const int64_t stop_at = RS[6]; /* < 0: run until a stop event */
     int64_t reason = 0, aux = 0;
     const int64_t R = c.R, N = c.N;
 
@@ -1205,13 +1179,17 @@ int64_t starnet_run(int64_t *P)
         }
 
     for (;;) {
-        /* run()-level stop check, before the cycle advances */
-        for (int64_t r = 0; r < R; ++r)
-            if (c.active[r] && cycle >= c.horizon[r]
-                && (cycle >= c.end[r] || c.meas_flight[r] == 0)) {
-                reason = RUN_STOP;
-                goto out;
-            }
+        /* run()-level stop check, before the cycle advances; a bounded
+         * step() skips it, as the numpy step() does.  Re-entering a
+         * cycle after a refill repeats it harmlessly: generation and
+         * activation only ever raise meas_flight. */
+        if (stop_at < 0)
+            for (int64_t r = 0; r < R; ++r)
+                if (c.active[r] && cycle >= c.horizon[r]
+                    && (cycle >= c.end[r] || c.meas_flight[r] == 0)) {
+                    reason = RUN_STOP;
+                    goto out;
+                }
 
         /* phase 1 — generation, then activation */
         {
@@ -1223,8 +1201,8 @@ int64_t starnet_run(int64_t *P)
                 reason = RUN_CBERR;
                 goto out;
             }
-            if (g == GEN_PUNT) {
-                reason = RUN_PUNT;
+            if (g == GEN_POOL) {
+                reason = RUN_POOL;
                 goto out;
             }
         }
@@ -1244,7 +1222,9 @@ int64_t starnet_run(int64_t *P)
                  * while the amortized bound holds, consume it; a failed
                  * bound with no actual shortage re-bases the gate
                  * exactly as the Python path does; a real shortage
-                 * punts so Python refills the buffer in step(). */
+                 * returns so Python refills the buffer.  Generation and
+                 * activation are done, so the re-entered cycle goes
+                 * straight to its phases. */
                 const int64_t bound = 2 * need_total;
                 if (c.ugate[1] + bound <= c.ugate[0]) {
                     c.ugate[1] += bound;
@@ -1258,7 +1238,7 @@ int64_t starnet_run(int64_t *P)
                             posmax = c.alloc_pos[r];
                     }
                     if (short_any) {
-                        reason = RUN_PUNT;
+                        reason = RUN_UNIFORMS;
                         goto out;
                     }
                     c.ugate[0] = c.buf_cap - posmax;
@@ -1266,13 +1246,12 @@ int64_t starnet_run(int64_t *P)
                 }
                 /* every pending header could append an ejection row */
                 if (ej_n + need_total > c.ej_cap_rows) {
-                    reason = RUN_PUNT;
+                    reason = RUN_EJ_ROWS;
                     goto out;
                 }
             }
             CycleOut o;
             run_phases(&c, cycle, do_alloc, ej_n, &o);
-            write_out(&c, &o);
             if (o.err) {
                 reason = RUN_ERR;
                 goto out;
@@ -1321,7 +1300,7 @@ int64_t starnet_run(int64_t *P)
         }
 
         cycle += 1;
-        if (reason)
+        if (reason || cycle == stop_at)
             break; /* SAMPLE: cycle finished, Python runs the tail */
     }
 

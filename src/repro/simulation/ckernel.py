@@ -1,12 +1,12 @@
-"""On-demand compiled C cycle kernel for the array backend.
+"""On-demand compiled C cycle loop for the array backend.
 
-The array backend's per-cycle hot path (switch traversal + ejection) is
-implemented twice: as numpy passes in :mod:`repro.simulation.kernels`
-(always available) and as a single C function (``_ckernel.c``) compiled
-here with the system C compiler on first use.  Both paths are
-bit-identical — the kernels module asserts as much in the test-suite —
-so the C path is purely an accelerator: roughly one function call per
-cycle instead of ~40 numpy dispatches.
+The array backend's cycle is implemented twice: as numpy passes in
+:mod:`repro.simulation.kernels` (always available) and as one C loop,
+``starnet_run`` in ``_ckernel.c``, compiled here with the system C
+compiler on first use.  Both paths are bit-identical — the test-suite
+asserts it cycle by cycle — so the C path is purely an accelerator: it
+runs whole cycles without returning to Python, instead of ~40 numpy
+dispatches per cycle.
 
 Compilation is attempted once per process and cached as a shared object
 (honouring ``STARNET_CKERNEL_DIR``, defaulting to a per-user cache
@@ -32,12 +32,12 @@ import warnings
 from pathlib import Path
 from typing import NamedTuple
 
-__all__ = ["KernelBundle", "load_bundle", "load_kernel"]
+__all__ = ["KernelBundle", "load_bundle"]
 
 _SOURCE = Path(__file__).with_name("_ckernel.c")
 
 #: The kernel takes one int64 parameter block (see _ckernel.c for the
-#: slot layout) so each per-cycle call marshals a single pointer.
+#: slot layout) so each call marshals a single pointer.
 _SIGNATURE: list = [ctypes.c_void_p]
 
 #: Flag sets tried in order: native tuning (the cache is per machine and
@@ -48,14 +48,12 @@ _FLAG_LADDER = (("-O3", "-march=native"), ("-O2",))
 class KernelBundle(NamedTuple):
     """The compiled entry points of one ``_ckernel.c`` build.
 
-    ``cycle`` runs one cycle of phases 2-5; ``run`` is the resident
-    driver that loops whole cycles in C; ``pool_new``/``pool_free``
-    manage the persistent worker-thread pool (``pool_new(n)`` returns an
-    opaque handle as int64, 0 when pool creation failed — callers fall
-    back to the serial path).
+    ``run`` is the resident driver that loops whole cycles in C;
+    ``pool_new``/``pool_free`` manage the persistent worker-thread pool
+    (``pool_new(n)`` returns an opaque handle as int64, 0 when pool
+    creation failed — callers fall back to the serial path).
     """
 
-    cycle: object
     run: object
     pool_new: object
     pool_free: object
@@ -154,9 +152,9 @@ def _fail(reason: str):
 def load_bundle() -> KernelBundle | None:
     """The compiled kernel entry points, or None when unavailable.
 
-    All four symbols load (or fail) as one unit: a build that exports
-    ``starnet_cycle`` but not the pool entry points is treated as a
-    failed load, so callers never see a half-threaded kernel.
+    All three symbols load (or fail) as one unit: a build that exports
+    ``starnet_run`` but not the pool entry points is treated as a failed
+    load, so callers never see a half-threaded kernel.
     """
     global _cached
     if _cached is not None:
@@ -170,9 +168,6 @@ def load_bundle() -> KernelBundle | None:
         if so_path is None:
             return _fail("no working C compiler")
         lib = ctypes.CDLL(str(so_path))
-        cycle = lib.starnet_cycle
-        cycle.argtypes = _SIGNATURE
-        cycle.restype = ctypes.c_int64
         run = lib.starnet_run
         run.argtypes = _SIGNATURE
         run.restype = ctypes.c_int64
@@ -182,14 +177,8 @@ def load_bundle() -> KernelBundle | None:
         pool_free = lib.starnet_pool_free
         pool_free.argtypes = [ctypes.c_int64]
         pool_free.restype = None
-        bundle = KernelBundle(cycle, run, pool_new, pool_free)
+        bundle = KernelBundle(run, pool_new, pool_free)
         _cached = (bundle,)
         return bundle
     except (OSError, AttributeError) as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
-
-
-def load_kernel():
-    """The compiled ``starnet_cycle`` function, or None when unavailable."""
-    bundle = load_bundle()
-    return bundle.cycle if bundle is not None else None

@@ -19,10 +19,11 @@ through the same four-phase cycle as the object engine
 Phases 3 and 4 are evaluated against pre-cycle state and applied
 atomically, exactly like the object engine's two-phase update.
 
-The cycle body exists twice, bit-identically (asserted by the trace-diff
-tests): a compiled C megakernel (``_ckernel.c``) covering allocation,
-traversal and ejection in one call per cycle, and a Python/numpy
-fallback.  Design choices shared by both paths:
+The cycle exists twice, bit-identically (asserted by the trace-diff
+tests), as the simulator's only two drivers: the compiled loop
+``starnet_run`` (``_ckernel.c``), which runs whole cycles in C, and the
+numpy passes below — the fallback when no C compiler is present and the
+bit-identity oracle.  Design choices shared by both paths:
 
 * **Pre-drawn randomness.**  Arrival instants and destinations are drawn
   in per-node blocks from the workload objects
@@ -66,14 +67,15 @@ construction (see docs/simulation.md, "Parallelism model"):
   pthread pool that partitions replications across cores each cycle;
   per-replication work is staged and merged in fixed replication order,
   so every thread count produces the same bits.
-* **The C-resident cycle loop.**  When the whole cycle can run in C
-  (compiled kernel present, stock floor arithmetic, block-safe
-  workload), :meth:`ArraySimulator.run` hands the loop to
-  ``starnet_run``, which also advances generation/activation/watchdog
-  and returns to Python only on events Python must service (block
-  refills, uniform-buffer and ejection-row refills, pool growth,
-  sampling, stops); :meth:`ArraySimulator.phase_profile` counts those
-  returns.  Set ``STARNET_NO_RESIDENT=1`` to force the per-cycle path.
+* **The C-resident cycle loop.**  With the compiled kernel present,
+  :meth:`ArraySimulator.run` hands the whole loop to ``starnet_run``
+  and :meth:`ArraySimulator.step` runs it bounded to one cycle.  C
+  refills arrival/destination blocks through a callback and returns to
+  Python only for what Python must service — message-pool growth, a
+  uniform-buffer refill or ejection-row growth (serviced, then C
+  re-enters at the same cycle), channel-load sampling, stops and errors;
+  :meth:`ArraySimulator.phase_profile` counts those returns and the
+  refills by kind.
 """
 
 from __future__ import annotations
@@ -82,13 +84,12 @@ import collections
 import ctypes
 import dataclasses
 import math
-import os
 import time
 import weakref
 
 import numpy as np
 
-from repro.routing.base import MessageRouteState, RoutingAlgorithm, SelectionPolicy
+from repro.routing.base import RoutingAlgorithm, SelectionPolicy
 from repro.simulation.ckernel import load_bundle
 from repro.simulation.config import SimulationConfig, resolve_threads
 from repro.simulation.metrics import (
@@ -108,26 +109,24 @@ __all__ = ["ArraySimulator"]
 #: configurations use the cyclic-offset scan in both C and numpy.
 _MAX_LUT_VCS = 15
 
-#: Per-cycle patched slots of the C kernel's parameter block (layout in
-#: _ckernel.c, kept in lockstep with _refresh_c_args).
-_EJ_N_SLOT = 25
-_DO_ALLOC_SLOT = 32
-_CYCLE_SLOT = 33
-
-#: On-stack free-VC scratch width of the C allocation loop; wider
-#: candidate sets (deg * V) keep allocation in Python.
-_ALLOC_SCRATCH = 512
-
 #: Arrival-instant / destination block size per (replication, node).
 _GEN_BLOCK = 64
 
+#: Initial pre-drawn uniforms per replication and ejection-column rows
+#: (both grow on demand).
+_UNIFORMS = 4096
+_EJ_ROWS = 64
+
 #: starnet_run return-reason bits (mirrored in _ckernel.c).
 _RUN_STOP = 1
-_RUN_PUNT = 2
+_RUN_POOL = 2
 _RUN_SAMPLE = 4
 _RUN_WATCHDOG = 8
 _RUN_CBERR = 16
 _RUN_ERR = 32
+_RUN_UNIFORMS = 64
+_RUN_EJ_ROWS = 128
+_RUN_REFILL = _RUN_POOL | _RUN_UNIFORMS | _RUN_EJ_ROWS
 
 #: Refill callback signature of the resident loop: ``cb(kind, rep,
 #: node)`` with kind 0 = arrival-block refill, 1 = destination-block
@@ -138,13 +137,25 @@ _CB_TYPE = ctypes.CFUNCTYPE(
 
 #: Phase-profiling slot names of ``SimState.phase_ns`` (slots 0-3; slot
 #: 5 holds the total run() wall time).  Mirrored in _ckernel.c: the C
-#: paths and the Python per-cycle/numpy drivers write the same slots.
+#: loop and the numpy passes write the same slots.
 _PROF_PHASES = ("generation", "activation", "route", "complete")
 _PROF_TOTAL_SLOT = 5
 
-#: Resident-loop returns by reason (watchdog, callback and kernel
-#: errors count as ``error``), reported by ``phase_profile()``.
-_RETURN_KEYS = ("returns_stop", "returns_punt", "returns_sample", "returns_error")
+#: Counters reported by ``phase_profile()``: resident-loop returns by
+#: reason (``punt`` = a refill return; watchdog, callback and kernel
+#: errors count as ``error``), refills by kind on either driver, and
+#: cycles run by the numpy passes.
+_COUNTER_KEYS = (
+    "returns_stop",
+    "returns_punt",
+    "returns_sample",
+    "returns_error",
+    "refills_pool",
+    "refills_uniforms",
+    "refills_ej_rows",
+    "refills_blocks",
+    "py_cycles",
+)
 
 #: Structural config fields every replication of one batch must share.
 _SHARED_FIELDS = (
@@ -184,14 +195,19 @@ class ArraySimulator:
     ``configs`` (heterogeneous work units: per-replication rate, seed and
     cycle windows — structural parameters must match).
 
+    ``algorithm`` must use the stock escape-floor update: the route
+    tables size their floor axis from it, so an algorithm overriding
+    ``advance_floor`` raises :class:`ConfigurationError` (run it on
+    ``engine='object'``).
+
     ``threads`` sizes the compiled kernel's worker pool (precedence:
     this argument, then ``STARNET_THREADS``, then ``config.threads``,
     then 1; 0 means one thread per core).  Results are bit-identical for
     every thread count; without the compiled kernel the numpy path runs
     single-threaded and the setting is ignored.
 
-    ``profile=True`` turns on per-phase cycle timing: the kernel (and
-    the Python drivers on the fallback paths) accumulate monotonic-clock
+    ``profile=True`` turns on per-phase cycle timing: the kernel (or
+    the numpy passes without it) accumulate monotonic-clock
     nanoseconds per phase into ``state.phase_ns``, surfaced through
     :meth:`phase_profile` and attached to the first replication's
     result.  Like ``threads`` it is a pure observation knob — results
@@ -259,6 +275,12 @@ class ArraySimulator:
         self.seeds = tuple(c.seed for c in configs)
         self.vc_config = algorithm.make_vc_config(base.total_vcs, topology)
         algorithm.validate(self.vc_config, topology)
+        if type(algorithm).advance_floor is not RoutingAlgorithm.advance_floor:
+            raise ConfigurationError(
+                f"{type(algorithm).__name__} overrides advance_floor; the array "
+                "engine's route tables assume the stock floor update "
+                "(use engine='object')"
+            )
         if base.buffer_depth > MAX_BUFFER_DEPTH:
             raise ConfigurationError(
                 f"array backend supports buffer_depth <= {MAX_BUFFER_DEPTH} "
@@ -313,19 +335,11 @@ class ArraySimulator:
         else:
             self._lut = None
             self._pow2 = None
-        # advance_floor is pure arithmetic for every stock algorithm; only
-        # call through the method when a subclass actually overrides it.
-        self._plain_floor = (
-            type(algorithm).advance_floor is RoutingAlgorithm.advance_floor
-        )
         self._policy_code = {
             SelectionPolicy.ADAPTIVE_FIRST: 0,
             SelectionPolicy.LOWEST_ESCAPE: 1,
             SelectionPolicy.RANDOM: 2,
         }[algorithm.policy]
-        #: The C kernel may run the allocation loop only when the floor
-        #: advance is the stock arithmetic and its on-stack scratch fits.
-        self._c_alloc_ok = self._plain_floor and self._deg * V <= _ALLOC_SCRATCH
 
         # -- per-replication random streams ------------------------------
         # Same (seed, name) keys as a single run with that seed, so each
@@ -334,18 +348,19 @@ class ArraySimulator:
         self.spatial = self.workload.build_spatial(topology=topology)
         self._rngs = [RngStreams(c.seed) for c in configs]
         self._alloc_gen = [streams.allocator() for streams in self._rngs]
-        self._buf_cap = 4096
+        self._buf_cap = _UNIFORMS
         self._alloc_buf = np.empty((R, self._buf_cap), dtype=np.float64)
         for rep in range(R):
             self._alloc_buf[rep] = self._alloc_gen[rep].random(self._buf_cap)
         self._alloc_pos = np.zeros(R, dtype=np.int64)
-        # Amortized shortage gate for _ensure_uniforms: _u_headroom is a
-        # lower bound on every row's remaining variates at the last exact
-        # check, _u_spend an upper bound on any row's consumption since.
-        self._u_headroom = self._buf_cap
-        self._u_spend = 0
+        #: Amortized shortage gate for _ensure_uniforms, shared with the
+        #: C loop: {headroom, spend} — a lower bound on every row's
+        #: remaining variates at the last exact check, and an upper bound
+        #: on any row's consumption since.
+        self._ugate = np.array([self._buf_cap, 0], dtype=np.int64)
         #: Stateful spatial patterns (trace replay) opt out of block
-        #: buffering: their draw order across nodes is semantic.
+        #: buffering — their draw order across nodes is semantic — and
+        #: draw through length-1 blocks instead.
         self._dest_blocks = getattr(self.spatial, "block_safe", True)
         #: A node's k-th destination block is a pure function of (seed,
         #: node, k): replications sharing a seed (a rate ladder's rungs)
@@ -405,26 +420,18 @@ class ArraySimulator:
         #: Per-replication minima of ``_gen_node_t``, so the generation
         #: fast path compares one float per replication.
         self._gen_next = self._gen_node_t.min(axis=1)
-        self._next_arrival = float(self._gen_next.min()) if R else math.inf
-        #: Python mirror of ``_gen_next`` for the stepwise generation
-        #: path (the array stays authoritative — the C loop reads and
-        #: updates it, after which _run_resident resyncs).
-        self._gen_next_list = self._gen_next.tolist()
-        #: Nodes with messages to (re)activate, as a bitmap plus a dirty
-        #: flag — the array twin of the old ``_activatable`` set.
+        #: Nodes with messages to (re)activate, as a bitmap — what the C
+        #: loop walks.
         self._act = np.zeros((R, N), dtype=np.uint8)
-        #: Python mirror of the bitmap's set coords — the stepwise path
-        #: iterates the set (cheap), the C loop walks the bitmap; the
-        #: two are resynced whenever the C loop returns.
+        # Mirrors only the numpy passes keep: ``_gen_next`` as a list and
+        # its minimum, and the bitmap's set coords plus a dirty flag.
+        self._gen_next_list = self._gen_next.tolist()
+        self._next_arrival = float(self._gen_next.min()) if R else math.inf
         self._act_set: set[tuple[int, int]] = set()
         self._act_any = False
-        #: Optional generation-event tap for the trace-diff harness:
-        #: called with (rep, node, t, dst) per generated message.
+        #: Optional generation-event tap of the numpy passes: called with
+        #: (rep, node, t, dst) per generated message.
         self._gen_hook = None
-        #: Test seam: when set to a callable ``(rep, slot) -> flat | None``
-        #: it replaces the selection policy (no uniform draws) and forces
-        #: allocation onto the Python path.  The watchdog tests wedge it.
-        self._choose_vc = None
 
         # -- pending headers / ejection columns --------------------------
         cap = self.state.capacity
@@ -438,7 +445,7 @@ class ArraySimulator:
         self._need_slots = np.zeros((R, cap), dtype=np.int32)
         self._need_n = np.zeros(R, dtype=np.int64)
         self._need_total = 0
-        self._ej_cap_rows = 64
+        self._ej_cap_rows = _EJ_ROWS
         self._ej_reps = np.zeros(self._ej_cap_rows, dtype=np.int64)
         self._ej_slots = np.zeros(self._ej_cap_rows, dtype=np.int64)
         self._ej_flats = np.zeros(self._ej_cap_rows, dtype=np.int64)
@@ -483,19 +490,16 @@ class ArraySimulator:
             self._rc_arange = np.arange(RC)
         self._b_ok = np.empty(RC, dtype=bool)
 
-        # Optional compiled megakernel (bit-identical to the numpy path,
-        # asserted in the test-suite).  Wide V uses the C scan, so the
-        # kernel is loaded regardless of the LUT.
+        # The compiled loop, when a C compiler is present (bit-identical
+        # to the numpy passes, asserted per cycle in the test-suite);
+        # ``_ck`` is None on the numpy passes.  Wide V uses the C scan,
+        # so the kernel is loaded regardless of the LUT.
         self._ck_bundle = load_bundle()
-        self._ck = None if self._ck_bundle is None else self._ck_bundle.cycle
-        self._c_out = np.zeros(8, dtype=np.int64)
+        self._ck = None if self._ck_bundle is None else self._ck_bundle.run
         self._c_args: np.ndarray | None = None
-        self._c_msg_cap = -1
         #: Scalar in/out block of the resident loop: {cycle, busy_vcs,
-        #: ejecting_count, need_total, reason, aux rep, spare, spare}.
+        #: ejecting_count, need_total, reason, aux rep, stop_at, spare}.
         self._c_rs = np.zeros(8, dtype=np.int64)
-        #: Uniform-gate mirror of (_u_headroom, _u_spend) for the C loop.
-        self._c_ugate = np.zeros(2, dtype=np.int64)
         #: Per-replication staging block of the threaded kernel.
         self._c_tstage = np.zeros(R * 8, dtype=np.int64)
         #: ctypes callback handed to starnet_run for block refills;
@@ -503,11 +507,8 @@ class ArraySimulator:
         self._cb_exc: BaseException | None = None
         self._c_cb = _CB_TYPE(self._cb_dispatch)
         self._c_cb_ptr = ctypes.cast(self._c_cb, ctypes.c_void_p).value or 0
-        self._no_resident = bool(os.environ.get("STARNET_NO_RESIDENT"))
-        #: Resident-loop returns by reason and cycles run through step()
-        #: (observation only; surfaced by phase_profile()).
-        self._returns = dict.fromkeys(_RETURN_KEYS, 0)
-        self._py_cycles = 0
+        #: Observation-only counters surfaced by phase_profile().
+        self._counts = dict.fromkeys(_COUNTER_KEYS, 0)
 
         # Kernel worker-thread pool: spawned once per simulator, freed
         # by the finalizer.  Pool creation failure (or a missing kernel)
@@ -586,7 +587,6 @@ class ArraySimulator:
         self._hb_req = np.zeros((R, self._hb_max + 1), dtype=np.int64)
         self._hb_blk = np.zeros((R, self._hb_max + 1), dtype=np.int64)
         self._hb_wait = np.zeros((R, self._hb_max + 1), dtype=np.int64)
-        self._route_state = MessageRouteState()
         self._final: list[dict | None] = [None] * R
 
     # ------------------------------------------------------------------
@@ -604,11 +604,10 @@ class ArraySimulator:
         frozen in the snapshot so a replication with an early horizon is
         untouched by its companions' remaining cycles.
 
-        When the compiled kernel can run the whole cycle (stock floor
-        arithmetic, no test seams, block-safe workload), the loop itself
-        moves into C (``starnet_run``) and Python is re-entered only on
-        refill/growth/miss/sample/stop events — same bits, one ctypes
-        crossing per *event* instead of per cycle.
+        With the compiled kernel the loop itself runs in C
+        (``starnet_run``), re-entering Python only on refill, sample and
+        stop events — one ctypes crossing per *event* instead of per
+        cycle; without it, the numpy passes run each cycle.
 
         With ``profile=True`` the call also accumulates its wall time
         and attaches :meth:`phase_profile` to the first replication's
@@ -631,32 +630,34 @@ class ArraySimulator:
         return results
 
     def _run_to_completion(self) -> list[SimulationResult]:
-        if self._resident_ok():
-            return self._run_resident()
-        R = self._R
-        horizons = self._horizon_per
-        ends = self._end_per
-        remaining = R
-        step = self.step
-        min_h = min(horizons)
-        while self.cycle < min_h:  # no replication can stop before this
-            step()
+        if self._ck is not None:
+            if self._freeze_stopped():
+                self._run_c(-1)
+        else:
+            min_h = min(self._horizon_per)
+            while self.cycle < min_h:  # no replication can stop before this
+                self._step_numpy()
+            while self._freeze_stopped():
+                self._step_numpy()
+        return [self._result(rep) for rep in range(self._R)]
+
+    def _freeze_stopped(self) -> int:
+        """Snapshot and freeze every replication whose stop condition
+        holds at the current cycle; return how many are still live."""
+        cyc = self.cycle
         final = self._final
-        while True:
-            cyc = self.cycle
-            for rep in range(R):
-                if (
-                    final[rep] is None
-                    and cyc >= horizons[rep]
-                    and (cyc >= ends[rep] or self._measured_in_flight[rep] == 0)
-                ):
-                    final[rep] = self._snapshot(rep)
-                    self._stop_rep(rep)
-                    remaining -= 1
-            if remaining == 0:
-                break
-            step()
-        return [self._result(rep) for rep in range(R)]
+        live = 0
+        for rep in range(self._R):
+            if final[rep] is not None:
+                continue
+            if cyc >= self._horizon_per[rep] and (
+                cyc >= self._end_per[rep] or self._measured_in_flight[rep] == 0
+            ):
+                final[rep] = self._snapshot(rep)
+                self._stop_rep(rep)
+            else:
+                live += 1
+        return live
 
     def phase_profile(self) -> dict:
         """Accumulated per-phase wall time in nanoseconds.
@@ -664,17 +665,19 @@ class ArraySimulator:
         Keys: the four phase groups (``generation``, ``activation``,
         ``route`` — VC allocation, switch traversal and ejection picking,
         phases 2-4 — and ``complete``, the serial phase-5 bookkeeping),
-        plus ``other`` (driver overhead: watchdog, sampling, Python/C
-        crossings), ``total`` and ``cycles``.  On the fused per-cycle C
-        path, phases 2-5 run as one kernel call whose route/complete
-        split is timed inside C; the numpy fallback times the same split
-        in Python.  The timings are all zeros when profiling is off.
+        plus ``other`` (driver overhead: sampling, Python/C crossings,
+        refills), ``total`` and ``cycles``.  The C loop times the phases
+        inside C; the numpy passes time the same split in Python.  The
+        timings are all zeros when profiling is off.
 
         Counters, kept whether or not profiling is on: ``returns_stop``,
-        ``returns_punt``, ``returns_sample`` and ``returns_error`` count
-        the resident C loop's returns to Python by reason, and
-        ``py_cycles`` the cycles run through the per-cycle :meth:`step`
-        (a punted resident cycle, or every cycle off the resident path).
+        ``returns_punt`` (a serviced refill), ``returns_sample`` and
+        ``returns_error`` count the C loop's returns to Python by
+        reason; ``refills_pool``, ``refills_uniforms``,
+        ``refills_ej_rows`` and ``refills_blocks`` (arrival/destination
+        blocks, refilled through the C loop's callback) count refills
+        by kind on either driver; ``py_cycles`` counts the cycles run by
+        the numpy passes (zero on the compiled path).
         """
         p = self.state.phase_ns
         phases = {name: int(p[i]) for i, name in enumerate(_PROF_PHASES)}
@@ -683,8 +686,7 @@ class ArraySimulator:
         phases["other"] = total - accounted
         phases["total"] = total
         phases["cycles"] = int(self.cycle)
-        phases.update(self._returns)
-        phases["py_cycles"] = self._py_cycles
+        phases.update(self._counts)
         return phases
 
     def _stop_rep(self, rep: int) -> None:
@@ -694,131 +696,94 @@ class ArraySimulator:
         self._next_arrival = min(self._gen_next_list)
         self._active_np[rep] = 0
 
-    def _resident_ok(self) -> bool:
-        """May :meth:`run` hand the cycle loop to ``starnet_run``?
+    def _run_c(self, stop_at: int) -> None:
+        """Drive ``starnet_run`` until cycle ``stop_at`` (-1: until every
+        replication has stopped).
 
-        Requires the compiled kernel with in-C allocation, no Python
-        seams (``_choose_vc``/``_gen_hook``) and a block-safe workload;
-        ``STARNET_NO_RESIDENT`` (or clearing the
-        ``_no_resident`` attribute's inverse in tests) forces the
-        per-cycle driver, which produces identical bits.
+        Scalar state crosses through the run-state block.  A refill
+        return is serviced here and C re-enters at the cycle it left;
+        a sample return finished its cycle, whose sampling tail runs
+        here; a stop return freezes the replications that stopped.
         """
-        return (
-            self._ck is not None
-            and self._ck_bundle is not None
-            and self._c_alloc_ok
-            and self._choose_vc is None
-            and self._gen_hook is None
-            and self._dest_blocks
-            and not self._no_resident
-        )
-
-    def _run_resident(self) -> list[SimulationResult]:
-        """The in-C run loop: drive ``starnet_run`` event to event.
-
-        Scalar state crosses through the run-state block; every return
-        reason maps onto exactly the work the per-cycle driver would
-        have done at the same point, so the two run paths are
-        bit-identical cycle for cycle.
-        """
-        R = self._R
-        st = self.state
-        final = self._final
-        horizons = self._horizon_per
-        ends = self._end_per
-        run = self._ck_bundle.run
         rs = self._c_rs
-        returns = self._returns
-        remaining = sum(1 for f in final if f is None)
-        while remaining:
-            if self._msg_cap != st.capacity:
-                self._sync_msg_cap()
-            if self._c_args is None or self._c_msg_cap != st.capacity:
+        rs[6] = stop_at
+        counts = self._counts
+        while True:
+            if self._c_args is None:
                 self._refresh_c_args()
-            self._c_ugate[0] = self._u_headroom
-            self._c_ugate[1] = self._u_spend
             rs[0] = self.cycle
             rs[1] = self._busy_vcs
             rs[2] = self._ejecting_count
             rs[3] = self._need_total
-            self._cb_exc = None
-            run(self._c_params_ptr)
-            reason = int(rs[4])
-            self.cycle = int(rs[0])
-            self._busy_vcs = int(rs[1])
-            self._ejecting_count = int(rs[2])
-            self._need_total = int(rs[3])
-            self._u_headroom = int(self._c_ugate[0])
-            self._u_spend = int(self._c_ugate[1])
-            self._gen_next_list = self._gen_next.tolist()
-            self._next_arrival = min(self._gen_next_list) if R else math.inf
-            nz = np.nonzero(self._act)
-            self._act_set = set(zip(nz[0].tolist(), nz[1].tolist()))
-            self._act_any = bool(self._act_set)
+            self._ck(self._c_params_ptr)
+            (
+                self.cycle,
+                self._busy_vcs,
+                self._ejecting_count,
+                self._need_total,
+                reason,
+                aux,
+            ) = rs[:6].tolist()
+            if not reason:
+                return  # the cycle bound
             if reason & (_RUN_CBERR | _RUN_ERR | _RUN_WATCHDOG):
-                returns["returns_error"] += 1
-            if reason & _RUN_CBERR:
-                exc = self._cb_exc
-                self._cb_exc = None
-                if exc is not None:
-                    raise exc
-                raise SimulationError(
-                    "resident-loop refill callback failed without an exception"
-                )
-            if reason & _RUN_ERR:
-                self._kernel_error()
-            if reason & _RUN_WATCHDOG:
-                rep = int(rs[5])
-                grace = self._c_grace
-                raise SimulationError(
-                    f"no progress for {grace} cycles at cycle {self.cycle} "
-                    f"with {self._in_flight[rep]} messages in flight "
-                    f"(replication {rep}, seed {self.seeds[rep]}) — "
-                    "routing deadlock?"
-                )
+                counts["returns_error"] += 1
+                self._raise_c_error(reason, aux)
             if reason & _RUN_SAMPLE:
-                returns["returns_sample"] += 1
-                cyc = self.cycle - 1  # the cycle the kernel just finished
-                stats = None
-                for rep in range(R):
-                    if final[rep] is None and cyc >= self._warm[rep]:
-                        if stats is None:
-                            stats = self._sample_stats()
-                        self._sampler[rep].sample_scalars(
-                            stats[0][rep], stats[1][rep], stats[2][rep]
-                        )
-            if reason & _RUN_PUNT:
-                # The cycle needs Python (uniform refill, pool growth,
-                # ejection-row growth): run exactly this one cycle
-                # through the per-cycle driver and re-enter.
-                returns["returns_punt"] += 1
-                self.step()
+                counts["returns_sample"] += 1
+                self._sample(self.cycle - 1)  # the cycle C just finished
+            if reason & _RUN_REFILL:
+                counts["returns_punt"] += 1
+                if reason & _RUN_POOL:
+                    self.state.grow()
+                    self._sync_msg_cap()
+                if reason & _RUN_UNIFORMS:
+                    self._ensure_uniforms()
+                if reason & _RUN_EJ_ROWS:
+                    # Every pending header could finish routing and append
+                    # an ejection row; C reserves room up front.
+                    while self._ej_cap_rows < self._ejecting_count + self._need_total:
+                        self._grow_ej_rows()
             if reason & _RUN_STOP:
-                returns["returns_stop"] += 1
-                cyc = self.cycle
-                for rep in range(R):
-                    if (
-                        final[rep] is None
-                        and cyc >= horizons[rep]
-                        and (cyc >= ends[rep] or self._measured_in_flight[rep] == 0)
-                    ):
-                        final[rep] = self._snapshot(rep)
-                        self._stop_rep(rep)
-                        remaining -= 1
-        return [self._result(rep) for rep in range(R)]
+                counts["returns_stop"] += 1
+                if not self._freeze_stopped():
+                    return
+            if self.cycle == stop_at:
+                return
+
+    def _raise_c_error(self, reason: int, rep: int) -> None:
+        if reason & _RUN_CBERR:
+            exc, self._cb_exc = self._cb_exc, None
+            if exc is not None:
+                raise exc
+            raise SimulationError(
+                "resident-loop refill callback failed without an exception"
+            )
+        if reason & _RUN_ERR:
+            self._kernel_error()
+        raise self._stall_error(rep, self.cycle)
 
     def step(self) -> None:
         """Advance every replication by one cycle.
 
+        Unlike :meth:`run`, a step never snapshots or freezes stopped
+        replications.  With the compiled kernel this is ``starnet_run``
+        bounded to one cycle; otherwise one pass of the numpy phases.
+        """
+        if self._ck is not None:
+            self._run_c(self.cycle + 1)
+        else:
+            self._step_numpy()
+
+    def _step_numpy(self) -> None:
+        """One cycle of the numpy passes.
+
         With profiling on, each phase group's wall time lands in the
-        same ``phase_ns`` slots the resident C loop uses; the per-cycle
-        C kernel times its own route/complete split (it reads the
-        profiling pointer from the param block), so only the phases that
-        run in Python are timed here.
+        same ``phase_ns`` slots the C loop uses.
         """
         prof = self._prof
         cycle = self.cycle
-        self._py_cycles += 1
+        self._counts["py_cycles"] += 1
         if prof is not None:
             t0 = time.perf_counter_ns()
         if cycle >= self._next_arrival:
@@ -833,54 +798,41 @@ class ArraySimulator:
             t1 = time.perf_counter_ns()
             prof[1] += t1 - t0
             t0 = t1
-        c_alloc = self._c_alloc_ok and self._choose_vc is None
-        if self._ck is not None:
-            if self._need_total and not c_alloc:
-                self._ensure_uniforms()
-                self._allocate_py(cycle)
-                if prof is not None:
-                    t1 = time.perf_counter_ns()
-                    prof[2] += t1 - t0
-            if self._busy_vcs or (c_alloc and self._need_total):
-                self._cycle_c(cycle)
-        else:
-            if self._need_total:
-                self._ensure_uniforms()
-                self._allocate_py(cycle)
-            picks = self._pick_ejections() if self._ejecting_count else None
-            if self._busy_vcs:
-                self._transfer_phase()
-            if prof is not None:
-                t1 = time.perf_counter_ns()
-                prof[2] += t1 - t0
-                t0 = t1
-            if picks is not None:
-                self._apply_ejections(picks, cycle)
-            if prof is not None:
-                t1 = time.perf_counter_ns()
-                prof[3] += t1 - t0
+        if self._need_total:
+            self._ensure_uniforms()
+            self._allocate_py(cycle)
+        picks = self._pick_ejections() if self._ejecting_count else None
+        if self._busy_vcs:
+            self._transfer_phase()
+        if prof is not None:
+            t1 = time.perf_counter_ns()
+            prof[2] += t1 - t0
+            t0 = t1
+        if picks is not None:
+            self._apply_ejections(picks, cycle)
+        if prof is not None:
+            prof[3] += time.perf_counter_ns() - t0
         if (cycle & 31) == 0:
             self._watchdog(cycle)
         if cycle % self._sample_int == 0:
-            stats = None
-            final = self._final
-            for rep in range(self._R):
-                # A replication samples only inside its own post-warmup
-                # life — batch companions must not influence its
-                # multiplexing estimate.
-                if final[rep] is None and cycle >= self._warm[rep]:
-                    if stats is None:
-                        stats = self._sample_stats()
-                    self._sampler[rep].sample_scalars(
-                        stats[0][rep], stats[1][rep], stats[2][rep]
-                    )
-        # Time-series probe: the resident C loop probes the cycles it
-        # completes itself; every cycle that finishes here (numpy path,
-        # per-cycle C path, or a PUNTed resident cycle) is probed by
-        # this twin, through the same shared sample counter.
+            self._sample(cycle)
         if self._probe_int is not None and cycle % self._probe_int == 0:
             self._probe_sample(cycle)
         self.cycle = cycle + 1
+
+    def _sample(self, cycle: int) -> None:
+        """Channel-load sample of ``cycle``.  A replication samples only
+        inside its own post-warmup life — batch companions must not
+        influence its multiplexing estimate."""
+        stats = None
+        final = self._final
+        for rep in range(self._R):
+            if final[rep] is None and cycle >= self._warm[rep]:
+                if stats is None:
+                    stats = self._sample_stats()
+                self._sampler[rep].sample_scalars(
+                    stats[0][rep], stats[1][rep], stats[2][rep]
+                )
 
     def _probe_sample(self, cycle: int) -> None:
         """Append one probe sample — the bit-exact twin of the C
@@ -948,21 +900,27 @@ class ArraySimulator:
             if p != marks[rep]:
                 marks[rep] = p
                 last[rep] = cycle
-            elif self._in_flight[rep] > 0:
-                grace = self.config.watchdog_grace
-                if grace is None:
-                    # The object engine's module default, resolved late so
-                    # a monkeypatched _WATCHDOG_GRACE governs both backends.
-                    from repro.simulation import engine as engine_mod
+            elif self._in_flight[rep] > 0 and cycle - last[rep] > self._grace():
+                raise self._stall_error(rep, cycle)
 
-                    grace = engine_mod._WATCHDOG_GRACE
-                if cycle - last[rep] > grace:
-                    raise SimulationError(
-                        f"no progress for {grace} cycles at cycle {cycle} "
-                        f"with {self._in_flight[rep]} messages in flight "
-                        f"(replication {rep}, seed {self.seeds[rep]}) — "
-                        "routing deadlock?"
-                    )
+    def _grace(self) -> int:
+        """Watchdog grace: the config's, else the object engine's module
+        default, resolved late so a monkeypatched ``_WATCHDOG_GRACE``
+        governs both engines."""
+        grace = self.config.watchdog_grace
+        if grace is None:
+            from repro.simulation import engine as engine_mod
+
+            grace = engine_mod._WATCHDOG_GRACE
+        return grace
+
+    def _stall_error(self, rep: int, cycle: int) -> SimulationError:
+        return SimulationError(
+            f"no progress for {self._grace()} cycles at cycle {cycle} "
+            f"with {self._in_flight[rep]} messages in flight "
+            f"(replication {rep}, seed {self.seeds[rep]}) — "
+            "routing deadlock?"
+        )
 
     # ------------------------------------------------------------------
     # Phase 1 — generation and activation (event-driven, per replication)
@@ -970,6 +928,7 @@ class ArraySimulator:
 
     def _refill_arr(self, rep: int, node: int) -> None:
         """Refill one node's pre-drawn arrival block, cursor reset."""
+        self._counts["refills_blocks"] += 1
         buf = self._sources[rep][node].draw_block(_GEN_BLOCK)
         self._arr_buf[rep, node, : len(buf)] = buf
         self._arr_len[rep, node] = len(buf)
@@ -977,12 +936,13 @@ class ArraySimulator:
 
     def _refill_dst(self, rep: int, node: int) -> None:
         """Refill one node's pre-drawn destination block, cursor reset
-        (from the seed's shared blocks when companions share the seed)."""
-        seed = self.seeds[rep]
-        cache = self._dst_shared.get(seed)
+        (from the seed's shared blocks when companions share the seed;
+        one destination at a time for a stateful pattern)."""
+        self._counts["refills_blocks"] += 1
+        cache = self._dst_shared.get(self.seeds[rep])
         if cache is None:
             buf = self.spatial.destinations_block(
-                node, _GEN_BLOCK, self._dest_rng[rep].dest(node)
+                node, _GEN_BLOCK if self._dest_blocks else 1, self._dest_rng[rep].dest(node)
             )
         else:
             blocks = cache.setdefault(node, [])
@@ -1003,7 +963,7 @@ class ArraySimulator:
 
         kind 0/1 refill one node's arrival/destination block.
         Exceptions can't cross the C frame: they are stashed for
-        :meth:`_run_resident` to re-raise and signalled to C as -1
+        :meth:`_run_c` to re-raise and signalled to C as -1
         (→ CBERR return).
         """
         try:
@@ -1028,8 +988,6 @@ class ArraySimulator:
 
     def _next_dest(self, rep: int, node: int) -> int:
         """Pop the node's next destination from its pre-drawn block."""
-        if not self._dest_blocks:
-            return self.spatial.destination(node, self._dest_rng[rep].dest(node))
         k = rep * self._Nn + node
         pos = int(self._f_dst_pos[k])
         if pos >= int(self._f_dst_len[k]):
@@ -1205,30 +1163,32 @@ class ArraySimulator:
         and numpy paths since both consume through this buffer.
         """
         # Cheap amortized gate first: no row can have consumed more than
-        # _u_spend variates since the last exact check, and every row had
-        # at least _u_headroom remaining then, so while the bound holds
+        # the gate's spend since the last exact check, and every row had
+        # at least its headroom remaining then, so while the bound holds
         # the vectorized shortage test (several numpy dispatches per
         # cycle) is provably redundant.
+        gate = self._ugate
         bound = 2 * self._need_total
-        if self._u_spend + bound <= self._u_headroom:
-            self._u_spend += bound
+        if gate[1] + bound <= gate[0]:
+            gate[1] += bound
             return
         worst = 2 * self._need_n
         short = (self._buf_cap - self._alloc_pos) < worst
         if short.any():
+            self._counts["refills_uniforms"] += 1
             wmax = int(worst.max())
             if wmax > self._buf_cap:
-                newcap = 1 << (wmax - 1).bit_length()
-                wide = np.empty((self._R, newcap), dtype=np.float64)
-                wide[:, : self._buf_cap] = self._alloc_buf
-                self._alloc_buf = wide
-                self._buf_cap = newcap
+                # Widen, refilling every row: a kept row's new tail
+                # would hold no variates.
+                self._buf_cap = 1 << (wmax - 1).bit_length()
+                self._alloc_buf = np.empty((self._R, self._buf_cap), dtype=np.float64)
                 self._c_args = None
+                short[:] = True
             for rep in np.nonzero(short)[0].tolist():
                 self._alloc_buf[rep] = self._alloc_gen[rep].random(self._buf_cap)
                 self._alloc_pos[rep] = 0
-        self._u_headroom = self._buf_cap - int(self._alloc_pos.max())
-        self._u_spend = bound
+        gate[0] = self._buf_cap - int(self._alloc_pos.max())
+        gate[1] = bound
 
     def _allocate_py(self, cycle: int) -> None:
         """Allocation fallback, bit-identical to the C megakernel's loop.
@@ -1246,7 +1206,6 @@ class ArraySimulator:
         pools = self.routes.pools
         vspan = self._deg * V
         hb_max = self._hb_max
-        chooser = self._choose_vc
         for rep in range(self._R):
             n = int(self._need_n[rep])
             if not n:
@@ -1279,10 +1238,7 @@ class ArraySimulator:
                 fa = [base + f for f in a if owner[rowoff + base + f] < 0]
                 fe = [base + f for f in e if owner[rowoff + base + f] < 0]
                 flat = -1
-                if chooser is not None:  # test seam replaces the policy
-                    picked = chooser(rep, s)
-                    flat = -1 if picked is None else picked
-                elif policy == 0:  # ADAPTIVE_FIRST
+                if policy == 0:  # ADAPTIVE_FIRST
                     if fa:
                         if len(fa) == 1:
                             flat = fa[0]
@@ -1361,26 +1317,13 @@ class ArraySimulator:
         st.p_head_vc[rep, slot] = flat
         st.msg_vcs_held[rep, slot] += 1
         self._busy_vcs += 1
-        if self._plain_floor:
-            # Inlined RoutingAlgorithm.advance_floor: the floor becomes the
-            # used escape class (class-a hops keep it) plus one across
-            # negative hops.
-            adaptive = self.vc_config.num_adaptive
-            fbase = (
-                int(st.p_floor[rep, slot])
-                if v_index < adaptive
-                else v_index - adaptive
-            )
-            st.p_floor[rep, slot] = fbase + (1 if hop_negative else 0)
-            st.p_hops[rep, slot] += 1
-        else:
-            state = self._route_state
-            state.escape_floor = int(st.p_floor[rep, slot])
-            state.hops_taken = int(st.p_hops[rep, slot])
-            state.negative_hops = 0
-            self.algorithm.advance_floor(self.vc_config, state, v_index, hop_negative)
-            st.p_floor[rep, slot] = state.escape_floor
-            st.p_hops[rep, slot] = state.hops_taken
+        # Inlined RoutingAlgorithm.advance_floor: the floor becomes the
+        # used escape class (class-a hops keep it) plus one across
+        # negative hops.
+        adaptive = self.vc_config.num_adaptive
+        fbase = int(st.p_floor[rep, slot]) if v_index < adaptive else v_index - adaptive
+        st.p_floor[rep, slot] = fbase + (1 if hop_negative else 0)
+        st.p_hops[rep, slot] += 1
         nxt = self._neighbors_py[chan]
         st.p_header[rep, slot] = nxt
         d = int(st.p_dist[rep, slot]) - 1
@@ -1538,6 +1481,7 @@ class ArraySimulator:
         st = self.state
         if self._msg_cap == st.capacity:
             return
+        self._counts["refills_pool"] += 1
         old = self._msg_cap
         new = st.capacity
         self._msg_cap = new
@@ -1580,6 +1524,7 @@ class ArraySimulator:
         self._f_need_slots = self._need_slots.ravel()
 
     def _grow_ej_rows(self) -> None:
+        self._counts["refills_ej_rows"] += 1
         n = self._ejecting_count
         self._ej_cap_rows *= 2
         for name in ("_ej_reps", "_ej_slots", "_ej_flats", "_ej_mflats"):
@@ -1590,7 +1535,6 @@ class ArraySimulator:
         self._c_args = None  # ejection columns moved: refresh pointers
 
     def _ej_add(self, rep: int, slot: int, head: int) -> None:
-        self._sync_msg_cap()
         n = self._ejecting_count
         if n == self._ej_cap_rows:
             self._grow_ej_rows()
@@ -1619,7 +1563,6 @@ class ArraySimulator:
     def _pick_ejections(self):
         """Flits each draining message ejects this cycle (pre-cycle state)."""
         st = self.state
-        self._sync_msg_cap()
         n = self._ejecting_count
         k = st.bd_flat[self._ej_flats[:n]] & 0xFFFF
         if self._ej_rate is not None:
@@ -1648,9 +1591,6 @@ class ArraySimulator:
             self._complete(self._ej_reps[ip[done]], self._ej_slots[ip[done]], cycle)
 
     def _complete(self, reps: np.ndarray, slots: np.ndarray, cycle: int) -> None:
-        self._complete_pairs(list(zip(reps.tolist(), slots.tolist())), cycle)
-
-    def _complete_pairs(self, pairs: list[tuple[int, int]], cycle: int) -> None:
         """Retire completed messages (numpy-path twin of C phase 5).
 
         Scalar adds in pair order, exactly as the compiled kernel
@@ -1659,7 +1599,7 @@ class ArraySimulator:
         """
         st = self.state
         t_done = cycle + 1.0
-        for rep, slot in pairs:
+        for rep, slot in zip(reps.tolist(), slots.tolist()):
             if st.msg_vcs_held[rep, slot] != 0:
                 raise SimulationError("completed message still owns channels")
             self._in_flight[rep] -= 1
@@ -1681,7 +1621,7 @@ class ArraySimulator:
             self._ej_remove(rep, slot)
 
     # ------------------------------------------------------------------
-    # Compiled megakernel (phases 2 + 3 + 4 in one C call)
+    # Compiled loop (starnet_run)
     # ------------------------------------------------------------------
 
     def _refresh_c_args(self) -> None:
@@ -1701,16 +1641,7 @@ class ArraySimulator:
         self._c_comps = np.empty(rows, dtype=np.int64)
         self._c_winners = np.empty(RC, dtype=np.int64)
         self._c_fin = np.empty(RC, dtype=np.int64)
-        self._c_msg_cap = st.capacity
         ej_rate = -1 if self._ej_rate is None else int(self._ej_rate)
-        grace = self.config.watchdog_grace
-        if grace is None:
-            # The object engine's module default, resolved late so a
-            # monkeypatched _WATCHDOG_GRACE governs the resident loop too.
-            from repro.simulation import engine as engine_mod
-
-            grace = engine_mod._WATCHDOG_GRACE
-        self._c_grace = grace
         params = np.array(
             [
                 st.vc_bd.ctypes.data,  # 0
@@ -1738,157 +1669,106 @@ class ArraySimulator:
                 self._ej_flats.ctypes.data,  # 22
                 self._ej_mflats.ctypes.data,  # 23
                 self._ej_pos.ctypes.data,  # 24
-                0,  # 25 ej_n, patched per cycle
-                self._c_ejk.ctypes.data,  # 26
-                self._c_winners.ctypes.data,  # 27
-                self._c_fin.ctypes.data,  # 28
-                self._c_comps.ctypes.data,  # 29
-                self._c_out.ctypes.data,  # 30
-                st.ch_busy.ctypes.data,  # 31
-                0,  # 32 do_alloc, patched per cycle
-                0,  # 33 cycle, patched per cycle
-                self._policy_code,  # 34
-                self.vc_config.num_adaptive,  # 35
-                self._deg,  # 36
-                self._need_slots.ctypes.data,  # 37
-                self._need_n.ctypes.data,  # 38
-                st.p_dst.ctypes.data,  # 39
-                st.p_header.ctypes.data,  # 40
-                st.p_dist.ctypes.data,  # 41
-                st.p_floor.ctypes.data,  # 42
-                st.p_hops.ctypes.data,  # 43
-                st.p_first_attempt.ctypes.data,  # 44
-                st.p_head_vc.ctypes.data,  # 45
-                routes.pair_class.ctypes.data,  # 46
-                routes.class_dist.ctypes.data,  # 47
-                routes.combo.ctypes.data,  # 48
-                routes.off.ctypes.data,  # 49
-                routes.alen.ctypes.data,  # 50
-                routes.elen.ctypes.data,  # 51
-                routes.cand.ctypes.data,  # 52
-                routes.floors,  # 53
-                routes.hops,  # 54
-                self._alloc_buf.ctypes.data,  # 55
-                self._buf_cap,  # 56
-                self._alloc_pos.ctypes.data,  # 57
-                self._neighbors_np.ctypes.data,  # 58
-                self._color_np.ctypes.data,  # 59
-                st.msg_measured.ctypes.data,  # 60
-                st.msg_t_inject.ctypes.data,  # 61
-                self.alloc_attempts.ctypes.data,  # 62
-                self.alloc_failures.ctypes.data,  # 63
-                self._injected.ctypes.data,  # 64
-                self._hb_req.ctypes.data,  # 65
-                self._hb_blk.ctypes.data,  # 66
-                self._hb_wait.ctypes.data,  # 67
-                self._hb_max,  # 68
-                st.msg_t_gen.ctypes.data,  # 69
-                self._in_flight.ctypes.data,  # 70
-                self._measured_in_flight.ctypes.data,  # 71
-                self._completed.ctypes.data,  # 72
-                st.free_stack.ctypes.data,  # 73
-                st.free_n.ctypes.data,  # 74
-                self._lat_sum.ctypes.data,  # 75
-                self._net_sum.ctypes.data,  # 76
-                self._srcw_sum.ctypes.data,  # 77
-                self._mcount.ctypes.data,  # 78
-                self._lat_bsum.ctypes.data,  # 79
-                self._lat_bcount.ctypes.data,  # 80
-                self._w_t0.ctypes.data,  # 81
-                self._w_width.ctypes.data,  # 82
-                self._w_batches.ctypes.data,  # 83
-                self._Bmax,  # 84
-                self._c_tstage.ctypes.data,  # 85
-                self._threads,  # 86
-                self._pool_ptr,  # 87
-                self._gen_node_t.ctypes.data,  # 88
-                self._gen_next.ctypes.data,  # 89
-                self._arr_buf.ctypes.data,  # 90
-                self._arr_pos.ctypes.data,  # 91
-                self._arr_len.ctypes.data,  # 92
-                self._dst_buf.ctypes.data,  # 93
-                self._dst_pos.ctypes.data,  # 94
-                self._dst_len.ctypes.data,  # 95
-                _GEN_BLOCK,  # 96
-                self._qnext.ctypes.data,  # 97
-                self._qhead.ctypes.data,  # 98
-                self._qtail.ctypes.data,  # 99
-                self._qlen.ctypes.data,  # 100
-                self._act.ctypes.data,  # 101
-                self._c_cb_ptr,  # 102
-                self._generated.ctypes.data,  # 103
-                self._measured_generated.ctypes.data,  # 104
-                self._warm_np.ctypes.data,  # 105
-                self._horizon_np.ctypes.data,  # 106
-                self._end_np.ctypes.data,  # 107
-                self._active_np.ctypes.data,  # 108
-                self._slots,  # 109
-                grace,  # 110
-                self._progress_marks.ctypes.data,  # 111
-                self._last_progress.ctypes.data,  # 112
-                self.config.sample_interval,  # 113
-                self._c_ugate.ctypes.data,  # 114
-                self._ej_cap_rows,  # 115
-                self._c_rs.ctypes.data,  # 116
-                self.state.phase_ns.ctypes.data if self._prof is not None else 0,  # 117
-                0 if st.probe_data is None else st.probe_data.ctypes.data,  # 118
-                0 if st.probe_cycles is None else st.probe_cycles.ctypes.data,  # 119
-                0 if st.probe_state is None else st.probe_state.ctypes.data,  # 120
-                self._probe_int or 0,  # 121
-                st.probe_capacity,  # 122
+                self._c_ejk.ctypes.data,  # 25
+                self._c_winners.ctypes.data,  # 26
+                self._c_fin.ctypes.data,  # 27
+                self._c_comps.ctypes.data,  # 28
+                st.ch_busy.ctypes.data,  # 29
+                self._policy_code,  # 30
+                self.vc_config.num_adaptive,  # 31
+                self._deg,  # 32
+                self._need_slots.ctypes.data,  # 33
+                self._need_n.ctypes.data,  # 34
+                st.p_dst.ctypes.data,  # 35
+                st.p_header.ctypes.data,  # 36
+                st.p_dist.ctypes.data,  # 37
+                st.p_floor.ctypes.data,  # 38
+                st.p_hops.ctypes.data,  # 39
+                st.p_first_attempt.ctypes.data,  # 40
+                st.p_head_vc.ctypes.data,  # 41
+                routes.pair_class.ctypes.data,  # 42
+                routes.class_dist.ctypes.data,  # 43
+                routes.combo.ctypes.data,  # 44
+                routes.off.ctypes.data,  # 45
+                routes.alen.ctypes.data,  # 46
+                routes.elen.ctypes.data,  # 47
+                routes.cand.ctypes.data,  # 48
+                routes.floors,  # 49
+                routes.hops,  # 50
+                self._alloc_buf.ctypes.data,  # 51
+                self._buf_cap,  # 52
+                self._alloc_pos.ctypes.data,  # 53
+                self._neighbors_np.ctypes.data,  # 54
+                self._color_np.ctypes.data,  # 55
+                st.msg_measured.ctypes.data,  # 56
+                st.msg_t_inject.ctypes.data,  # 57
+                self.alloc_attempts.ctypes.data,  # 58
+                self.alloc_failures.ctypes.data,  # 59
+                self._injected.ctypes.data,  # 60
+                self._hb_req.ctypes.data,  # 61
+                self._hb_blk.ctypes.data,  # 62
+                self._hb_wait.ctypes.data,  # 63
+                self._hb_max,  # 64
+                st.msg_t_gen.ctypes.data,  # 65
+                self._in_flight.ctypes.data,  # 66
+                self._measured_in_flight.ctypes.data,  # 67
+                self._completed.ctypes.data,  # 68
+                st.free_stack.ctypes.data,  # 69
+                st.free_n.ctypes.data,  # 70
+                self._lat_sum.ctypes.data,  # 71
+                self._net_sum.ctypes.data,  # 72
+                self._srcw_sum.ctypes.data,  # 73
+                self._mcount.ctypes.data,  # 74
+                self._lat_bsum.ctypes.data,  # 75
+                self._lat_bcount.ctypes.data,  # 76
+                self._w_t0.ctypes.data,  # 77
+                self._w_width.ctypes.data,  # 78
+                self._w_batches.ctypes.data,  # 79
+                self._Bmax,  # 80
+                self._c_tstage.ctypes.data,  # 81
+                self._threads,  # 82
+                self._pool_ptr,  # 83
+                self._gen_node_t.ctypes.data,  # 84
+                self._gen_next.ctypes.data,  # 85
+                self._arr_buf.ctypes.data,  # 86
+                self._arr_pos.ctypes.data,  # 87
+                self._arr_len.ctypes.data,  # 88
+                self._dst_buf.ctypes.data,  # 89
+                self._dst_pos.ctypes.data,  # 90
+                self._dst_len.ctypes.data,  # 91
+                _GEN_BLOCK,  # 92
+                self._qnext.ctypes.data,  # 93
+                self._qhead.ctypes.data,  # 94
+                self._qtail.ctypes.data,  # 95
+                self._qlen.ctypes.data,  # 96
+                self._act.ctypes.data,  # 97
+                self._c_cb_ptr,  # 98
+                self._generated.ctypes.data,  # 99
+                self._measured_generated.ctypes.data,  # 100
+                self._warm_np.ctypes.data,  # 101
+                self._horizon_np.ctypes.data,  # 102
+                self._end_np.ctypes.data,  # 103
+                self._active_np.ctypes.data,  # 104
+                self._slots,  # 105
+                self._grace(),  # 106
+                self._progress_marks.ctypes.data,  # 107
+                self._last_progress.ctypes.data,  # 108
+                self.config.sample_interval,  # 109
+                self._ugate.ctypes.data,  # 110
+                self._ej_cap_rows,  # 111
+                self._c_rs.ctypes.data,  # 112
+                self.state.phase_ns.ctypes.data if self._prof is not None else 0,  # 113
+                0 if st.probe_data is None else st.probe_data.ctypes.data,  # 114
+                0 if st.probe_cycles is None else st.probe_cycles.ctypes.data,  # 115
+                0 if st.probe_state is None else st.probe_state.ctypes.data,  # 116
+                self._probe_int or 0,  # 117
+                st.probe_capacity,  # 118
             ],
             dtype=np.int64,
         )
         self._c_params = params
         self._c_params_ptr = params.ctypes.data
         self._c_args = params  # sentinel: block is built
-
-    def _cycle_c(self, cycle: int) -> None:
-        """Run allocation + transfer + ejection through the compiled kernel.
-
-        Completion bookkeeping (latency sums, slot recycling, ejection-
-        column removal) happens inside the kernel too, so the common
-        steady-state cycle is one ctypes call plus a handful of scalar
-        reads here.
-        """
-        st = self.state
-        if self._msg_cap != st.capacity:
-            self._sync_msg_cap()
-        do_alloc = (
-            1
-            if (self._c_alloc_ok and self._choose_vc is None and self._need_total)
-            else 0
-        )
-        if do_alloc:
-            self._ensure_uniforms()
-            # Every pending header could finish routing and append an
-            # ejection row; reserve up front so C never reallocates.
-            while self._ej_cap_rows < self._ejecting_count + self._need_total:
-                self._grow_ej_rows()
-        if self._c_args is None or self._c_msg_cap != st.capacity:
-            self._refresh_c_args()
-        params = self._c_params
-        params[_EJ_N_SLOT] = self._ejecting_count
-        params[_DO_ALLOC_SLOT] = do_alloc
-        params[_CYCLE_SLOT] = cycle
-        self._ck(self._c_params_ptr)
-        out = self._c_out.tolist()  # one bulk read beats 6 scalar reads
-        if out[4]:
-            self._kernel_error()
-        self._busy_vcs += out[1]
-        self._ejecting_count = out[5]
-        # Allocation consumed headers and/or ready events appended some:
-        # the C-side sum is authoritative either way.
-        self._need_total = out[6]
-        fn = out[2]
-        if fn:
-            N = st.num_nodes
-            af = self._f_act
-            act_set = self._act_set
-            for x in self._c_fin[:fn].tolist():
-                af[x] = 1
-                act_set.add((x // N, x % N))
-            self._act_any = True
 
     # ------------------------------------------------------------------
     # Results

@@ -56,7 +56,9 @@ _STATE_FIELDS = (
 #: Simulator-side accumulator arrays hashed in full.  The generation
 #: state (pre-drawn blocks, cursors, per-node next arrivals, source-queue
 #: links, activation bitmap) is included so the digests also pin the
-#: resident C loop and every kernel thread count to the same bits.
+#: resident C loop and every kernel thread count to the same bits.  The
+#: numpy passes' Python mirrors (next-arrival minimum, activation set)
+#: are not: they are derived from ``_gen_next`` and ``_act``.
 _SIM_FIELDS = (
     "_ej_pos",
     "_alloc_pos",
@@ -114,7 +116,6 @@ def state_digest(sim: ArraySimulator) -> str:
                 sim._busy_vcs,
                 sim._need_total,
                 sim._ejecting_count,
-                sim._next_arrival,
             )
         ).encode()
     )
@@ -124,10 +125,10 @@ def state_digest(sim: ArraySimulator) -> str:
 def run_digests(sim: ArraySimulator, cycles: int) -> list[str]:
     """Step ``cycles`` times, returning the post-cycle digest of each.
 
-    The digest is taken after the *complete* cycle — compiled kernel
-    call plus any Python post-processing (activation bookkeeping) —
-    which is exactly the boundary at which the numpy and C paths
-    promise bit-identical state.
+    The digest is taken after the *complete* cycle — on the compiled
+    path, ``starnet_run`` bounded to one cycle with every refill it
+    returned for serviced — which is exactly the boundary at which the
+    numpy and C paths promise bit-identical state.
     """
     out = []
     for _ in range(cycles):

@@ -24,7 +24,7 @@ from repro.simulation import (
     summarize_batch,
 )
 from repro.simulation import engine as engine_mod
-from repro.simulation.ckernel import load_kernel
+from repro.simulation.ckernel import load_bundle
 from repro.utils.exceptions import ConfigurationError
 
 
@@ -340,7 +340,7 @@ class TestBatchedReplications:
         assert not row["any_saturated"]
 
 
-@pytest.mark.skipif(load_kernel() is None, reason="no C compiler available")
+@pytest.mark.skipif(load_bundle() is None, reason="no C compiler available")
 class TestCompiledKernel:
     def test_c_path_bit_identical_to_numpy_path(self, star4):
         """The compiled kernel is a pure accelerator of the numpy passes."""

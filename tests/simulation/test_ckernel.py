@@ -11,10 +11,12 @@ from repro.simulation import ckernel
 
 @pytest.fixture
 def fresh_cache(monkeypatch, tmp_path):
-    """Reset the process-level kernel cache and isolate the disk cache."""
+    """Reset the process-level kernel cache and isolate the disk cache
+    (and the environment's opt-out, which tests set where they need it)."""
     saved = ckernel._cached
     ckernel._cached = None
     monkeypatch.setenv("STARNET_CKERNEL_DIR", str(tmp_path / "kcache"))
+    monkeypatch.delenv("STARNET_NO_CKERNEL", raising=False)
     yield
     ckernel._cached = saved
 
@@ -27,14 +29,14 @@ class TestCompileFailureFallback:
         monkeypatch.setattr(ckernel, "_compiler", lambda: None)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert ckernel.load_kernel() is None
+            assert ckernel.load_bundle() is None
         relevant = [w for w in caught if w.category is RuntimeWarning]
         assert len(relevant) == 1
         assert "falling back" in str(relevant[0].message)
         # Subsequent loads are silent — the failure is cached.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert ckernel.load_kernel() is None
+            assert ckernel.load_bundle() is None
         assert not caught
         # The array backend still works, on the numpy path.
         cfg = SimulationConfig(
@@ -59,17 +61,17 @@ class TestOptOut:
         monkeypatch.setenv("STARNET_NO_CKERNEL", "1")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert ckernel.load_kernel() is None
+            assert ckernel.load_bundle() is None
         assert not caught
 
 
 @pytest.mark.skipif(ckernel._compiler() is None, reason="no C compiler")
 class TestRealBuild:
     def test_load_compile_and_cache(self, fresh_cache):
-        fn = ckernel.load_kernel()
+        fn = ckernel.load_bundle()
         assert fn is not None
         # Second call hits the process cache (same object).
-        assert ckernel.load_kernel() is fn
+        assert ckernel.load_bundle() is fn
 
 
 #: The release flag ladder (pinned: a sanitizer run replaces the module's).

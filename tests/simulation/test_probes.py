@@ -15,7 +15,8 @@ import pytest
 
 from repro.routing import EnhancedNbc
 from repro.simulation import ArraySimulator, simulate_batch
-from repro.simulation.ckernel import load_kernel
+from repro.simulation.ckernel import load_bundle
+from repro.simulation.trace import run_digests
 
 SERIES_KEYS = {
     "interval",
@@ -108,26 +109,29 @@ class TestProbesAreObservational:
         return probed
 
     def test_resident_c_loop(self, star4, quick_sim_config):
-        if load_kernel() is None:
+        if load_bundle() is None:
             pytest.skip("compiled kernel unavailable")
         probed = self._pair(star4, quick_sim_config)
         assert probed.timeseries is not None
 
-    def test_per_cycle_c_path(self, star4, quick_sim_config, monkeypatch):
-        if load_kernel() is None:
+    def test_per_cycle_c_path(self, star4, quick_sim_config):
+        """step(): the C loop bounded to one cycle probes without
+        touching the simulation state."""
+        if load_bundle() is None:
             pytest.skip("compiled kernel unavailable")
-        monkeypatch.setenv("STARNET_NO_RESIDENT", "1")
-        probed = self._pair(star4, quick_sim_config)
-        assert probed.timeseries is not None
+        plain = ArraySimulator(star4, EnhancedNbc(), quick_sim_config)
+        probed = ArraySimulator(
+            star4, EnhancedNbc(), quick_sim_config, probe_interval=25
+        )
+        assert run_digests(plain, 300) == run_digests(probed, 300)
+        assert int(probed.state.probe_state[0]) == 12
 
     def test_numpy_fallback(self, star4, quick_sim_config):
         plain = ArraySimulator(star4, EnhancedNbc(), quick_sim_config)
-        plain._ck_bundle = None
         plain._ck = None
         probed = ArraySimulator(
             star4, EnhancedNbc(), quick_sim_config, probe_interval=25
         )
-        probed._ck_bundle = None
         probed._ck = None
         _results_equal(plain.run()[0], probed.run()[0])
 
@@ -146,31 +150,35 @@ class TestPathIdenticalSamples:
     def _series(self, star4, cfg, *, force_numpy=False):
         sim = ArraySimulator(star4, EnhancedNbc(), cfg, probe_interval=25)
         if force_numpy:
-            sim._ck_bundle = None
             sim._ck = None
         return sim.run()[0].timeseries
 
     def test_resident_c_matches_numpy(self, star4, quick_sim_config):
-        if load_kernel() is None:
+        if load_bundle() is None:
             pytest.skip("compiled kernel unavailable")
         assert self._series(star4, quick_sim_config) == self._series(
             star4, quick_sim_config, force_numpy=True
         )
 
-    def test_per_cycle_c_matches_numpy(self, star4, quick_sim_config, monkeypatch):
-        if load_kernel() is None:
+    def test_per_cycle_c_matches_numpy(self, star4, quick_sim_config):
+        """Stepped cycle by cycle, both drivers write the same samples."""
+        if load_bundle() is None:
             pytest.skip("compiled kernel unavailable")
-        monkeypatch.setenv("STARNET_NO_RESIDENT", "1")
-        assert self._series(star4, quick_sim_config) == self._series(
-            star4, quick_sim_config, force_numpy=True
-        )
+        series = []
+        for force_numpy in (False, True):
+            sim = ArraySimulator(star4, EnhancedNbc(), quick_sim_config, probe_interval=25)
+            if force_numpy:
+                sim._ck = None
+            for _ in range(1_000):
+                sim.step()
+            series.append(sim.probe_series())
+        assert series[0] == series[1]
 
     def test_multi_replication_series_match(self, star4, quick_sim_config):
-        if load_kernel() is None:
+        if load_bundle() is None:
             pytest.skip("compiled kernel unavailable")
         kw = dict(probe_interval=30, seeds=(3, 4, 5))
         c_sim = ArraySimulator(star4, EnhancedNbc(), quick_sim_config, **kw)
         np_sim = ArraySimulator(star4, EnhancedNbc(), quick_sim_config, **kw)
-        np_sim._ck_bundle = None
         np_sim._ck = None
         assert c_sim.run()[0].timeseries == np_sim.run()[0].timeseries

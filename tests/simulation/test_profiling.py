@@ -15,7 +15,7 @@ import pytest
 
 from repro.routing import EnhancedNbc
 from repro.simulation import ArraySimulator, simulate_batch, summarize_batch
-from repro.simulation.ckernel import load_kernel
+from repro.simulation.ckernel import load_bundle
 
 PHASES = ("generation", "activation", "route", "complete")
 COUNTERS = (
@@ -23,6 +23,10 @@ COUNTERS = (
     "returns_punt",
     "returns_sample",
     "returns_error",
+    "refills_pool",
+    "refills_uniforms",
+    "refills_ej_rows",
+    "refills_blocks",
     "py_cycles",
 )
 
@@ -90,31 +94,34 @@ class TestPhaseProfile:
 
 
 class TestAllDriverPaths:
-    """The three execution paths each account their own phases."""
+    """Both drivers account their own phases, run or stepped."""
 
     def _run(self, star4, quick_sim_config):
         sim = ArraySimulator(star4, EnhancedNbc(), quick_sim_config, profile=True)
         return sim.run()[0]
 
     def test_resident_c_loop(self, star4, quick_sim_config):
-        if load_kernel() is None:
+        if load_bundle() is None:
             pytest.skip("compiled kernel unavailable")
         prof = self._run(star4, quick_sim_config).phase_ns
         assert prof["generation"] > 0 and prof["activation"] > 0
         assert prof["route"] > 0
 
-    def test_per_cycle_c_path(self, star4, quick_sim_config, monkeypatch):
-        if load_kernel() is None:
+    def test_per_cycle_c_path(self, star4, quick_sim_config):
+        """step(): the C loop bounded to one cycle times the same phases."""
+        if load_bundle() is None:
             pytest.skip("compiled kernel unavailable")
-        monkeypatch.setenv("STARNET_NO_RESIDENT", "1")
-        prof = self._run(star4, quick_sim_config).phase_ns
+        sim = ArraySimulator(star4, EnhancedNbc(), quick_sim_config, profile=True)
+        for _ in range(600):
+            sim.step()
+        prof = sim.phase_profile()
         assert prof["generation"] > 0 and prof["activation"] > 0
         assert prof["route"] > 0
+        assert prof["py_cycles"] == 0
 
     def test_numpy_fallback(self, star4, quick_sim_config):
         sim = ArraySimulator(star4, EnhancedNbc(), quick_sim_config, profile=True)
-        sim._ck_bundle = None  # no resident loop ...
-        sim._ck = None  # ... and the pure-numpy cycle path
+        sim._ck = None  # the numpy passes
         results = sim.run()
         prof = results[0].phase_ns
         assert prof["route"] > 0 and prof["complete"] >= 0
@@ -141,11 +148,11 @@ class TestProfileKnobIsObservational:
 
 
 class TestReturnCounters:
-    """Resident-loop returns and Python-run cycles, counted with or
-    without profiling."""
+    """Resident-loop returns, refills and numpy-pass cycles, counted
+    with or without profiling."""
 
     def test_resident_loop_counts_its_returns(self, star4, quick_sim_config):
-        if load_kernel() is None:
+        if load_bundle() is None:
             pytest.skip("compiled kernel unavailable")
         sim = ArraySimulator(star4, EnhancedNbc(), quick_sim_config)
         sim.run()
@@ -153,14 +160,15 @@ class TestReturnCounters:
         assert prof["returns_stop"] >= 1
         assert prof["returns_sample"] >= 1
         assert prof["returns_error"] == 0
-        # Every punt replays exactly one cycle through step().
-        assert prof["py_cycles"] == prof["returns_punt"]
+        # Refills are serviced and C re-enters: no cycle runs in Python.
+        assert prof["py_cycles"] == 0
+        assert prof["refills_blocks"] > 0
 
-    def test_per_cycle_driver_runs_every_cycle_in_python(
-        self, star4, quick_sim_config, monkeypatch
-    ):
-        monkeypatch.setenv("STARNET_NO_RESIDENT", "1")
+    def test_per_cycle_driver_runs_every_cycle_in_python(self, star4, quick_sim_config):
+        """The numpy passes run every cycle in Python and never return
+        from a C loop."""
         sim = ArraySimulator(star4, EnhancedNbc(), quick_sim_config)
+        sim._ck = None
         sim.run()
         prof = sim.phase_profile()
         assert prof["py_cycles"] == prof["cycles"] == sim.cycle

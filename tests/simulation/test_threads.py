@@ -18,14 +18,14 @@ import pytest
 from repro.routing import EnhancedNbc
 from repro.simulation import ArraySimulator, SimulationConfig
 from repro.simulation import kernels as kernels_mod
-from repro.simulation.ckernel import load_kernel
+from repro.simulation.ckernel import load_bundle
 from repro.simulation.config import resolve_threads
 from repro.simulation.spec import SimSpec
 from repro.simulation.trace import run_digests, state_digest
 from repro.utils.exceptions import ConfigurationError
 
 needs_kernel = pytest.mark.skipif(
-    load_kernel() is None, reason="no C compiler available"
+    load_bundle() is None, reason="no C compiler available"
 )
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.routing import EnhancedNbc
+from repro.routing.base import EligibleSet
 from repro.simulation import (
     ArraySimulator,
     SimulationConfig,
@@ -13,8 +14,29 @@ from repro.simulation import engine as engine_mod
 from repro.utils.exceptions import SimulationError
 
 
+class _Wedged(EnhancedNbc):
+    """Enhanced-Nbc with no eligible VC in any state: no header ever
+    allocates, on the object engine, the compiled loop and the numpy
+    passes alike."""
+
+    name = "wedged"
+
+    def eligible(self, cfg, d_remaining, hop_negative, state):
+        return EligibleSet(range(0), range(0))
+
+
+@pytest.fixture
+def wedged():
+    return _Wedged()
+
+
+def _numpy_passes(sim):
+    sim._ck = None
+    return sim
+
+
 class TestWatchdog:
-    def test_raises_when_allocation_is_wedged(self, star4, monkeypatch):
+    def test_raises_when_allocation_is_wedged(self, star4, wedged, monkeypatch):
         """If no header can ever allocate, the watchdog must fire."""
         cfg = SimulationConfig(
             message_length=4,
@@ -25,9 +47,8 @@ class TestWatchdog:
             drain_cycles=100_000,
             seed=0,
         )
-        sim = WormholeSimulator(star4, EnhancedNbc(), cfg)
+        sim = WormholeSimulator(star4, wedged, cfg)
         monkeypatch.setattr(engine_mod, "_WATCHDOG_GRACE", 200)
-        monkeypatch.setattr(sim, "_choose_vc", lambda msg: None)
         with pytest.raises(SimulationError, match="no progress"):
             sim.run()
 
@@ -47,7 +68,7 @@ class TestWatchdog:
 
 
 class TestConfigurableGrace:
-    def test_config_field_overrides_module_default(self, star4):
+    def test_config_field_overrides_module_default(self, star4, wedged):
         """A small configured grace trips without touching the module global."""
         cfg = SimulationConfig(
             message_length=4,
@@ -59,12 +80,11 @@ class TestConfigurableGrace:
             seed=0,
             watchdog_grace=150,
         )
-        sim = WormholeSimulator(star4, EnhancedNbc(), cfg)
-        sim._choose_vc = lambda msg: None  # wedge allocation
+        sim = WormholeSimulator(star4, wedged, cfg)
         with pytest.raises(SimulationError, match="no progress for 150 cycles"):
             sim.run()
 
-    def test_none_falls_back_to_module_default(self, star4, monkeypatch):
+    def test_none_falls_back_to_module_default(self, star4, wedged, monkeypatch):
         monkeypatch.setattr(engine_mod, "_WATCHDOG_GRACE", 150)
         cfg = SimulationConfig(
             message_length=4,
@@ -75,8 +95,7 @@ class TestConfigurableGrace:
             drain_cycles=100_000,
             seed=0,
         )
-        sim = WormholeSimulator(star4, EnhancedNbc(), cfg)
-        sim._choose_vc = lambda msg: None
+        sim = WormholeSimulator(star4, wedged, cfg)
         with pytest.raises(SimulationError, match="no progress for 150 cycles"):
             sim.run()
 
@@ -120,47 +139,49 @@ class TestWatchdogBackendParity:
         base.update(overrides)
         return SimulationConfig(**base)
 
-    def test_deadlock_fires_on_both_backends(self, star4):
+    def _engines(self, star4, wedged, cfg):
+        """The object engine, the compiled loop (when a compiler is
+        present) and the numpy passes, all wedged."""
+        return {
+            "object": WormholeSimulator(star4, wedged, cfg),
+            "array": ArraySimulator(star4, wedged, cfg),
+            "numpy": _numpy_passes(ArraySimulator(star4, wedged, cfg)),
+        }
+
+    def test_deadlock_fires_on_both_backends(self, star4, wedged):
         """Wedged allocation (no header ever gets a VC) must trip both
         engines' watchdogs with the same configured grace."""
-        cfg = self._wedged_config()
+        engines = self._engines(star4, wedged, self._wedged_config())
+        for sim in engines.values():
+            with pytest.raises(SimulationError, match="no progress for 150 cycles"):
+                sim.run()
+        compiled = engines["array"]
+        if compiled._ck is not None:  # the in-C watchdog fired, no Python cycle ran
+            prof = compiled.phase_profile()
+            assert prof["returns_error"] == 1 and prof["py_cycles"] == 0
 
-        obj = WormholeSimulator(star4, EnhancedNbc(), cfg)
-        obj._choose_vc = lambda msg: None
-        with pytest.raises(SimulationError, match="no progress for 150 cycles"):
-            obj.run()
-
-        arr = ArraySimulator(star4, EnhancedNbc(), cfg)
-        arr._choose_vc = lambda rep, slot: None
-        with pytest.raises(SimulationError, match="no progress for 150 cycles"):
-            arr.run()
-
-    def test_fire_cycles_agree(self, star4):
+    def test_fire_cycles_agree(self, star4, wedged):
         """Generation is seed-identical across backends, so the stall
         starts at the same cycle; the array backend checks on a 32-cycle
-        cadence, so its report may trail by at most that granularity."""
-        cfg = self._wedged_config()
+        cadence, so its report may trail by at most that granularity.
+        Its two drivers fire at the very same cycle."""
         cycles = {}
-        for name, sim, wedge in (
-            ("object", WormholeSimulator(star4, EnhancedNbc(), cfg), "msg"),
-            ("array", ArraySimulator(star4, EnhancedNbc(), cfg), "rep"),
-        ):
-            if wedge == "msg":
-                sim._choose_vc = lambda msg: None
-            else:
-                sim._choose_vc = lambda rep, slot: None
+        for name, sim in self._engines(star4, wedged, self._wedged_config()).items():
             with pytest.raises(SimulationError) as err:
                 sim.run()
             cycles[name] = int(str(err.value).split("at cycle ")[1].split()[0])
         assert cycles["object"] <= cycles["array"] <= cycles["object"] + 32
+        assert cycles["numpy"] == cycles["array"]
 
-    def test_module_default_governs_both(self, star4, monkeypatch):
+    def test_module_default_governs_both(self, star4, wedged, monkeypatch):
         monkeypatch.setattr(engine_mod, "_WATCHDOG_GRACE", 200)
         cfg = self._wedged_config(watchdog_grace=None)
-        arr = ArraySimulator(star4, EnhancedNbc(), cfg)
-        arr._choose_vc = lambda rep, slot: None
-        with pytest.raises(SimulationError, match="no progress for 200 cycles"):
-            arr.run()
+        for sim in (
+            ArraySimulator(star4, wedged, cfg),
+            _numpy_passes(ArraySimulator(star4, wedged, cfg)),
+        ):
+            with pytest.raises(SimulationError, match="no progress for 200 cycles"):
+                sim.run()
 
     def test_quiet_on_healthy_batch(self, star4):
         cfg = self._wedged_config(
