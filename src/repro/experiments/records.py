@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from repro.api.results import ResultSet, _null_safe
 
 __all__ = ["ExperimentRecord", "study_record", "study_resultset"]
 
@@ -28,29 +29,10 @@ def study_record(name: str, params: dict, result) -> "ExperimentRecord":
 def study_resultset(result):
     """Uniform ResultRows from any row-convertible campaign result."""
     from repro.api.convert import row_from_unit
-    from repro.api.results import ResultSet
 
     return ResultSet(
         row_from_unit(u, r) for u, r in zip(result.units, result.results)
     )
-
-
-def _json_safe(value):
-    """Replace non-finite floats with null, recursively.
-
-    ``json.dumps`` would otherwise emit the literal tokens ``NaN`` /
-    ``Infinity`` — not valid JSON, and rejected by strict parsers (and
-    by :meth:`ExperimentRecord.load` round-trips through them as
-    ``None`` anyway).  Saturated model rows routinely carry ``inf``
-    latencies, so records must serialise them deliberately.
-    """
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return value
 
 
 @dataclass
@@ -73,7 +55,7 @@ class ExperimentRecord:
         output is strictly valid JSON (``allow_nan=False`` enforces it).
         """
         return json.dumps(
-            _json_safe(
+            _null_safe(
                 {
                     "name": self.name,
                     "params": self.params,

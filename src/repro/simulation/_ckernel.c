@@ -51,131 +51,6 @@
  * bookkeeping with order-sensitive float accumulation) stays serial.
  * threads == 1 runs the identical staged code path, so results are
  * bit-identical for every thread count by construction.
- *
- * All arguments arrive through one int64 parameter block (pointers cast
- * to int64) so each ctypes call marshals a single argument.  Slot
- * layout must match kernels.ArraySimulator._refresh_c_args:
- *
- *   0 bd          (int32*, R*CV)  packed buffered | delivered << 16
- *   1 avail       (int32*, R*CV)  flits available to pull
- *   2 owner       (int32*, R*CV)  owning slot or -1
- *   3 up          (int32*, R*CV)  upstream vc or -1 (source PE)
- *   4 down        (int32*, R*CV)  downstream vc or -1
- *   5 rr          (int32*, R*C)   round-robin pointers
- *   6 lut         (int8*)         round-robin winner table (0: scan)
- *   7 R   8 C   9 V
- *  10 M  11 depth  12 ej_rate (< 0: unlimited)
- *  13 transfers   (int64*, R)     cumulative grant counts
- *  14 vcs_held    (int32*, R*cap) per-message owned-VC counts
- *  15 msg_src     (int32*, R*cap) source node per message
- *  16 active_inj  (int32*, R*N)   concurrent injections per node
- *  17 msg_ejected (int32*, R*cap) ejected flits per message
- *  18 cap  19 N
- *  20 ej_reps     (int64*)        ejection columns (appended here)
- *  21 ej_slots    (int64*)
- *  22 ej_flats    (int64*)        head VC of each draining message
- *  23 ej_mflats   (int64*)        message-array index of each
- *  24 ej_pos      (int64*, R*cap) column position per message (-1)
- *  25 ej_k        (int32*, scratch)
- *  26 winners     (int64*, scratch R*C, per-rep region C)
- *  27 fin_nodes   (int64*, out)   rep*N + node of finished injections
- *  28 completions (int64*, out)   ej-column index of completed messages
- *  29 busy        (uint8*, R*C)   owned-VC count per channel
- *  30 policy       0 adaptive-first, 1 lowest-escape, 2 random
- *  31 num_adaptive
- *  32 deg
- *  33 need_slots  (int32*, R*cap) pending headers, compacted in place
- *  34 need_n      (int64*, R)     in/out pending counts
- *  35 p_dst  36 p_header  37 p_dist  38 p_floor  39 p_hops
- *  40 p_first  41 p_head_vc   (all int32*, R*cap)
- *  42 pair_class  (int32*, N*N)   symmetry class of (node, destination)
- *  43 class_dist  (int32*)        distance per pair class
- *  44 route_combo (int32*)        candidate list per routing state id
- *                                  ((class*2 + colour)*F + floor)*H
- *                                  + hops; -1: state rejected
- *  45 cand_off  46 cand_alen  47 cand_elen (int32*, per candidate list)
- *  48 cand        (int32*)        VC offsets from the node's first VC
- *  49 route_F     escape floors   50 route_H  hops (table extents)
- *  51 alloc_buf   (double*, R*buf_cap) pre-drawn uniforms
- *  52 buf_cap     53 alloc_pos (int64*, R)
- *  54 neighbors   (int32*, C)     node reached through each channel
- *  55 color       (uint8*, N)     1 on "negative-hop" nodes
- *  56 msg_measured(uint8*, R*cap)
- *  57 msg_t_inject(double*, R*cap)
- *  58 alloc_attempts (int64*, R)  59 alloc_failures (int64*, R)
- *  60 injected    (int64*, R)     measured injections in window
- *  61 hb_req  62 hb_blk  63 hb_wait (int64*, R*(hb_max+1))
- *  64 hb_max
- *  65 msg_t_gen   (double*, R*cap) generation instant per message
- *  66 in_flight   (int64*, R)     live message counts
- *  67 meas_flight (int64*, R)     live *measured* message counts
- *  68 completed   (int64*, R)     cumulative completions
- *  69 free_stack  (int32*, R*cap) free-slot stacks  70 free_n (int64*, R)
- *  71 lat_sum     (double*, R)    total-latency accumulator
- *  72 net_sum     (double*, R)    network-latency accumulator
- *  73 srcw_sum    (double*, R)    source-wait accumulator
- *  74 mcount      (int64*, R)     measured completions
- *  75 lat_bsum    (double*, R*Bmax) per-batch latency sums
- *  76 lat_bcount  (int64*, R*Bmax)  per-batch latency counts
- *  77 w_t0        (double*, R)    measurement-window start per rep
- *  78 w_width     (double*, R)    batch width per rep
- *  79 w_batches   (int64*, R)     batch count per rep  80 Bmax
- *
- * Threading + resident-driver slots (81+):
- *
- *  81 tstage      (int64*, R*8)   per-rep staging {spare, busy_delta,
- *                                  fin_n, err, newej_n, newej_base,
- *                                  bucket_end, spare}
- *  82 threads                     thread count (1: serial)
- *  83 pool                        Pool* from starnet_pool_new (0: none)
- *  84 gen_node_t  (double*, R*N)  next arrival instant per node
- *  85 gen_next    (double*, R)    cached per-rep minimum of gen_node_t
- *  86 arr_buf     (double*, R*N*GB) pre-drawn arrival blocks
- *  87 arr_pos     (int32*, R*N)   cursor into arr_buf
- *  88 arr_len     (int32*, R*N)   valid entries in arr_buf
- *  89 dst_buf     (int32*, R*N*GB) pre-drawn destination blocks
- *  90 dst_pos     (int32*, R*N)  91 dst_len (int32*, R*N)
- *  92 GB                          generation block size
- *  93 qnext       (int32*, R*cap) source-queue links (next slot or -1)
- *  94 qhead  95 qtail  96 qlen  (int32*, R*N) per-node queues
- *  97 act         (uint8*, R*N)   nodes with pending activations
- *  98 cb                          refill callback
- *                                  int64 cb(kind, rep, node):
- *                                  0 arrival-block refill
- *                                  1 dest-block refill
- *                                  negative return: Python exception
- *  99 generated   (int64*, R)  100 meas_generated (int64*, R)
- * 101 warm        (int64*, R)  102 horizon (int64*, R)
- * 103 end         (int64*, R)     horizon + drain budget
- * 104 active      (uint8*, R)     1 until the rep's result is frozen
- * 105 slots                       injection slots per node
- * 106 grace                       watchdog grace (cycles)
- * 107 marks       (int64*, R)  108 lastp (int64*, R)  watchdog state
- * 109 sample_interval
- * 110 ugate       (int64*, 2)     {headroom, spend} uniform gate
- * 111 ej_cap_rows                 ejection-column capacity
- * 112 run_state   (int64*, 8)     in/out {cycle, busy_vcs, ej_n,
- *                                  need_total, reason, aux, stop_at
- *                                  (< 0: unbounded), 0}
- * 113 prof        (int64*, 8)     phase-profiling ns accumulators, or 0
- *                                  when profiling is off: {generation,
- *                                  activation, route, complete, -, -,
- *                                  -, -} (total/cycles live Python-side;
- *                                  see ArraySimulator.phase_profile)
- *
- * Time-series probe slots (114+), the same NULL-pointer = zero-overhead
- * contract as slot 113 (see probe_sample / docs/observability.md):
- *
- * 114 pb_data     (int64*, cap*R*(3+V+1)) sample ring buffer, or 0
- *                                  when probing is off; one sample is
- *                                  R rows of {in_flight, completed,
- *                                  backlog, occupancy histogram 0..V}
- * 115 pb_cycles   (int64*, cap)   cycle stamp per sample
- * 116 pb_state    (int64*, 1)     {sample count} — shared with the
- *                                  Python-driven cycles so both append
- *                                  to the same ring
- * 117 pb_interval                 cycles between samples
- * 118 pb_cap                      ring capacity (samples)
  */
 
 #include <stdint.h>
@@ -183,7 +58,7 @@
 #include <pthread.h>
 #include <time.h>
 
-/* starnet_run return reasons (bitmask; mirrored in kernels.py).  The
+/* starnet_run return reasons (bitmask; parsed by ckernel.py).  The
  * three refill reasons return before the cycle consumes anything that
  * needs the refill; Python services them and re-enters at that cycle. */
 #define RUN_STOP 1       /* a replication reached its stop condition    */
@@ -195,79 +70,165 @@
 #define RUN_UNIFORMS 64  /* a uniform-buffer row may run short          */
 #define RUN_EJ_ROWS 128  /* ejection columns may outgrow their rows    */
 
+/* Block-refill callback of the resident loop: cb(kind, rep, node) with
+ * kind 0 an arrival-block refill, 1 a destination-block refill; a
+ * negative return means the Python side raised. */
 typedef int64_t (*starnet_cb)(int64_t kind, int64_t a, int64_t b);
+
+struct Pool;
+
+/* The parameter block.  starnet_run takes one int64 array (pointers
+ * cast to int64) so each ctypes call marshals a single argument.
+ * STARNET_PARAMS is the only declaration of its layout: one X(type,
+ * name) per slot, in slot order, noting the slot's extent (in the
+ * scalar slots of the same names) and meaning.  Ctx and decode()
+ * expand it below; repro.simulation.ckernel parses the slot names and
+ * the RUN_* bits from this file, the same bytes the compile cache
+ * hashes, and ArraySimulator._refresh_c_args fills the block by name,
+ * refusing a mapping whose names differ.  A NULL prof or pb_data turns
+ * phase profiling or probing off at one branch per call site.
+ *
+ *   route_combo  indexed ((class*2 + colour)*route_F + floor)*route_H
+ *                + hops; -1 where the algorithm rejects the state
+ *   tstage       per rep {spare, busy_delta, fin_n, err, newej_n,
+ *                newej_base, bucket_end, spare}
+ *   run_state    {cycle, busy_vcs, ej_n, need_total, reason, aux,
+ *                stop_at (< 0: unbounded), spare}
+ *   prof         {generation, activation, route, complete, -, -, -, -};
+ *                total and cycles live Python-side (see
+ *                ArraySimulator.phase_profile)
+ *   pb_data      pb_cap samples of R rows {in_flight, completed,
+ *                backlog, occupancy histogram 0..V}; pb_state is shared
+ *                with the numpy passes so both append to one ring
+ */
+
+#define STARNET_PARAMS(X)                                                             \
+    X(int32_t *, bd)                /* R*CV: packed buffered | delivered << 16 */     \
+    X(int32_t *, avail)             /* R*CV: flits available to pull */               \
+    X(int32_t *, owner)             /* R*CV: owning slot or -1 */                     \
+    X(int32_t *, up)                /* R*CV: upstream vc or -1 (source PE) */         \
+    X(int32_t *, down)              /* R*CV: downstream vc or -1 */                   \
+    X(int32_t *, rr)                /* R*C: round-robin pointers */                   \
+    X(const int8_t *, lut)          /* round-robin winner table (NULL: scan) */       \
+    X(int64_t, R)                   /* replications */                                \
+    X(int64_t, C)                   /* channels */                                    \
+    X(int64_t, V)                   /* virtual channels per channel */                \
+    X(int32_t, M)                   /* message length (flits) */                      \
+    X(int32_t, depth)               /* VC buffer depth */                             \
+    X(int32_t, ej_rate)             /* ejection flits per cycle (< 0: unlimited) */   \
+    X(int64_t *, transfers)         /* R: cumulative grant counts */                  \
+    X(int32_t *, vcs_held)          /* R*cap: per-message owned-VC counts */          \
+    X(int32_t *, msg_src)           /* R*cap: source node per message */              \
+    X(int32_t *, active_inj)        /* R*N: concurrent injections per node */         \
+    X(int32_t *, msg_ejected)       /* R*cap: ejected flits per message */            \
+    X(int64_t, cap)                 /* message slots per replication */               \
+    X(int64_t, N)                   /* nodes */                                       \
+    X(int64_t *, ej_reps)           /* ejection columns (appended here) */            \
+    X(int64_t *, ej_slots)                                                            \
+    X(int64_t *, ej_flats)          /* head VC of each draining message */            \
+    X(int64_t *, ej_mflats)         /* message-array index of each */                 \
+    X(int64_t *, ej_pos)            /* R*cap: column position per message (-1) */     \
+    X(int32_t *, ej_k)              /* scratch, ej_cap_rows */                        \
+    X(int64_t *, winners)           /* scratch R*C, per-rep region C */               \
+    X(int64_t *, fin_nodes)         /* out: rep*N + node of finished injections */    \
+    X(int64_t *, completions)       /* out: ej-column index of completions */         \
+    X(uint8_t *, busy)              /* R*C: owned-VC count per channel */             \
+    X(int64_t, policy)              /* 0 adaptive-first, 1 lowest-escape, 2 random */ \
+    X(int32_t, num_adaptive)                                                          \
+    X(int64_t, deg)                 /* channels per node */                           \
+    X(int32_t *, need_slots)        /* R*cap: pending headers, compacted */           \
+    X(int64_t *, need_n)            /* R: in/out pending counts */                    \
+    X(int32_t *, p_dst)             /* p_*: R*cap header routing state */             \
+    X(int32_t *, p_header)                                                            \
+    X(int32_t *, p_dist)                                                              \
+    X(int32_t *, p_floor)                                                             \
+    X(int32_t *, p_hops)                                                              \
+    X(int32_t *, p_first)                                                             \
+    X(int32_t *, p_head_vc)                                                           \
+    X(const int32_t *, pair_class)  /* N*N: symmetry class of (node, dst) */          \
+    X(const int32_t *, class_dist)  /* distance per pair class */                     \
+    X(const int32_t *, route_combo) /* candidate list per state id (-1) */            \
+    X(const int32_t *, cand_off)    /* cand_*: per candidate list */                  \
+    X(const int32_t *, cand_alen)                                                     \
+    X(const int32_t *, cand_elen)                                                     \
+    X(const int32_t *, cand)        /* VC offsets from the node's first VC */         \
+    X(int64_t, route_F)             /* escape floors (table extent) */                \
+    X(int64_t, route_H)             /* hops (table extent) */                         \
+    X(const double *, alloc_buf)    /* R*buf_cap: pre-drawn uniforms */               \
+    X(int64_t, buf_cap)                                                               \
+    X(int64_t *, alloc_pos)         /* R: cursor into alloc_buf */                    \
+    X(const int32_t *, neighbors)   /* C: node reached through each channel */        \
+    X(const uint8_t *, color)       /* N: 1 on "negative-hop" nodes */                \
+    X(uint8_t *, measured)          /* R*cap: message is in the window */             \
+    X(double *, t_inject)           /* R*cap: injection instant */                    \
+    X(int64_t *, alloc_attempts)    /* R */                                           \
+    X(int64_t *, alloc_failures)    /* R */                                           \
+    X(int64_t *, injected)          /* R: measured injections in window */            \
+    X(int64_t *, hb_req)            /* hb_*: R*(hb_max+1) hop-blocking counts */      \
+    X(int64_t *, hb_blk)                                                              \
+    X(int64_t *, hb_wait)                                                             \
+    X(int64_t, hb_max)                                                                \
+    X(double *, t_gen)              /* R*cap: generation instant */                   \
+    X(int64_t *, in_flight)         /* R: live message counts */                      \
+    X(int64_t *, meas_flight)       /* R: live measured message counts */             \
+    X(int64_t *, completed)         /* R: cumulative completions */                   \
+    X(int32_t *, free_stack)        /* R*cap: free-slot stacks */                     \
+    X(int64_t *, free_n)            /* R */                                           \
+    X(double *, lat_sum)            /* R: total-latency accumulator */                \
+    X(double *, net_sum)            /* R: network-latency accumulator */              \
+    X(double *, srcw_sum)           /* R: source-wait accumulator */                  \
+    X(int64_t *, mcount)            /* R: measured completions */                     \
+    X(double *, lat_bsum)           /* R*Bmax: per-batch latency sums */              \
+    X(int64_t *, lat_bcount)        /* R*Bmax: per-batch latency counts */            \
+    X(const double *, w_t0)         /* R: measurement-window start */                 \
+    X(const double *, w_width)      /* R: batch width */                              \
+    X(const int64_t *, w_batches)   /* R: batch count */                              \
+    X(int64_t, Bmax)                                                                  \
+    X(int64_t *, tstage)            /* R*8: per-rep staging (see above) */            \
+    X(int64_t, threads)             /* thread count (1: serial) */                    \
+    X(struct Pool *, pool)          /* from starnet_pool_new (NULL: none) */          \
+    X(double *, gen_node_t)         /* R*N: next arrival instant per node */          \
+    X(double *, gen_next)           /* R: cached minimum of gen_node_t */             \
+    X(double *, arr_buf)            /* R*N*GB: pre-drawn arrival blocks */            \
+    X(int32_t *, arr_pos)           /* R*N: cursor into arr_buf */                    \
+    X(int32_t *, arr_len)           /* R*N: valid entries in arr_buf */               \
+    X(int32_t *, dst_buf)           /* R*N*GB: pre-drawn destination blocks */        \
+    X(int32_t *, dst_pos)           /* R*N */                                         \
+    X(int32_t *, dst_len)           /* R*N */                                         \
+    X(int64_t, GB)                  /* generation block size */                       \
+    X(int32_t *, qnext)             /* R*cap: source-queue links (-1: end) */         \
+    X(int32_t *, qhead)             /* R*N per-node queues */                         \
+    X(int32_t *, qtail)             /* R*N */                                         \
+    X(int32_t *, qlen)              /* R*N */                                         \
+    X(uint8_t *, act)               /* R*N: nodes with pending activations */         \
+    X(starnet_cb, cb)               /* block-refill callback (see starnet_cb) */      \
+    X(int64_t *, generated)         /* R */                                           \
+    X(int64_t *, meas_generated)    /* R */                                           \
+    X(const int64_t *, warm)        /* R */                                           \
+    X(const int64_t *, horizon)     /* R */                                           \
+    X(const int64_t *, end)         /* R: horizon + drain budget */                   \
+    X(uint8_t *, active)            /* R: 1 until the rep's result is frozen */       \
+    X(int64_t, slots)               /* injection slots per node */                    \
+    X(int64_t, grace)               /* watchdog grace (cycles) */                     \
+    X(int64_t *, marks)             /* R: watchdog progress marks */                  \
+    X(int64_t *, lastp)             /* R: watchdog last-progress cycles */            \
+    X(int64_t, sample_interval)                                                       \
+    X(int64_t *, ugate)             /* 2: {headroom, spend} uniform gate */           \
+    X(int64_t, ej_cap_rows)         /* ejection-column capacity */                    \
+    X(int64_t *, run_state)         /* 8: in/out scalars (see above) */               \
+    X(int64_t *, prof)              /* 8: phase ns accumulators, or NULL */           \
+    X(int64_t *, pb_data)           /* probe ring (see above), or NULL */             \
+    X(int64_t *, pb_cycles)         /* pb_cap: cycle stamp per sample */              \
+    X(int64_t *, pb_state)          /* 1: {sample count} */                           \
+    X(int64_t, pb_interval)         /* cycles between samples */                      \
+    X(int64_t, pb_cap)              /* ring capacity (samples) */
 
 /* Decoded parameter block; pointers stay valid for the whole call
  * (growth events return to Python before anything reallocates). */
 typedef struct Ctx {
-    int32_t *bd, *avail, *owner, *up, *down, *rr;
-    const int8_t *lut;
-    int64_t R, C, V;
-    int32_t M, depth, ej_rate;
-    int64_t *transfers;
-    int32_t *vcs_held;
-    int32_t *msg_src;
-    int32_t *active_inj, *msg_ejected;
-    int64_t cap, N;
-    int64_t *ej_reps, *ej_slots, *ej_flats, *ej_mflats, *ej_pos;
-    int32_t *ej_k;
-    int64_t *winners, *fin_nodes, *completions;
-    uint8_t *busy;
-    int64_t policy;
-    int32_t num_adaptive;
-    int64_t deg;
-    int32_t *need_slots;
-    int64_t *need_n;
-    int32_t *p_dst, *p_header, *p_dist, *p_floor, *p_hops, *p_first;
-    int32_t *p_head_vc;
-    const int32_t *pair_class, *class_dist, *route_combo;
-    const int32_t *cand_off, *cand_alen, *cand_elen, *cand;
-    int64_t route_F, route_H;
-    const double *alloc_buf;
-    int64_t buf_cap;
-    int64_t *alloc_pos;
-    const int32_t *neighbors;
-    const uint8_t *color;
-    uint8_t *measured;
-    double *t_inject;
-    int64_t *alloc_attempts, *alloc_failures, *injected;
-    int64_t *hb_req, *hb_blk, *hb_wait;
-    int64_t hb_max;
-    double *t_gen;
-    int64_t *in_flight, *meas_flight, *completed;
-    int32_t *free_stack;
-    int64_t *free_n;
-    double *lat_sum, *net_sum, *srcw_sum;
-    int64_t *mcount;
-    double *lat_bsum;
-    int64_t *lat_bcount;
-    const double *w_t0, *w_width;
-    const int64_t *w_batches;
-    int64_t Bmax;
-    /* threading + resident driver */
-    int64_t *tstage;
-    int64_t threads;
-    struct Pool *pool;
-    double *gen_node_t, *gen_next;
-    double *arr_buf;
-    int32_t *arr_pos, *arr_len;
-    int32_t *dst_buf, *dst_pos, *dst_len;
-    int64_t GB;
-    int32_t *qnext, *qhead, *qtail, *qlen;
-    uint8_t *act;
-    starnet_cb cb;
-    int64_t *generated, *meas_generated;
-    const int64_t *warm, *horizon, *end;
-    uint8_t *active;
-    int64_t slots, grace;
-    int64_t *marks, *lastp;
-    int64_t sample_interval;
-    int64_t *ugate;
-    int64_t ej_cap_rows;
-    int64_t *run_state;
-    int64_t *prof;
-    int64_t *pb_data, *pb_cycles, *pb_state;
-    int64_t pb_interval, pb_cap;
+#define X(T, name) T name;
+    STARNET_PARAMS(X)
+#undef X
     int64_t ms, CV;
 } Ctx;
 
@@ -284,127 +245,12 @@ static inline int64_t prof_now(const int64_t *prof)
     return (int64_t)ts.tv_sec * 1000000000LL + ts.tv_nsec;
 }
 
-static void decode(Ctx *c, int64_t *P)
+static void decode(Ctx *c, const int64_t *P)
 {
-    c->bd = (int32_t *)P[0];
-    c->avail = (int32_t *)P[1];
-    c->owner = (int32_t *)P[2];
-    c->up = (int32_t *)P[3];
-    c->down = (int32_t *)P[4];
-    c->rr = (int32_t *)P[5];
-    c->lut = (const int8_t *)P[6];
-    c->R = P[7];
-    c->C = P[8];
-    c->V = P[9];
-    c->M = (int32_t)P[10];
-    c->depth = (int32_t)P[11];
-    c->ej_rate = (int32_t)P[12];
-    c->transfers = (int64_t *)P[13];
-    c->vcs_held = (int32_t *)P[14];
-    c->msg_src = (int32_t *)P[15];
-    c->active_inj = (int32_t *)P[16];
-    c->msg_ejected = (int32_t *)P[17];
-    c->cap = P[18];
-    c->N = P[19];
-    c->ej_reps = (int64_t *)P[20];
-    c->ej_slots = (int64_t *)P[21];
-    c->ej_flats = (int64_t *)P[22];
-    c->ej_mflats = (int64_t *)P[23];
-    c->ej_pos = (int64_t *)P[24];
-    c->ej_k = (int32_t *)P[25];
-    c->winners = (int64_t *)P[26];
-    c->fin_nodes = (int64_t *)P[27];
-    c->completions = (int64_t *)P[28];
-    c->busy = (uint8_t *)P[29];
-    c->policy = P[30];
-    c->num_adaptive = (int32_t)P[31];
-    c->deg = P[32];
-    c->need_slots = (int32_t *)P[33];
-    c->need_n = (int64_t *)P[34];
-    c->p_dst = (int32_t *)P[35];
-    c->p_header = (int32_t *)P[36];
-    c->p_dist = (int32_t *)P[37];
-    c->p_floor = (int32_t *)P[38];
-    c->p_hops = (int32_t *)P[39];
-    c->p_first = (int32_t *)P[40];
-    c->p_head_vc = (int32_t *)P[41];
-    c->pair_class = (const int32_t *)P[42];
-    c->class_dist = (const int32_t *)P[43];
-    c->route_combo = (const int32_t *)P[44];
-    c->cand_off = (const int32_t *)P[45];
-    c->cand_alen = (const int32_t *)P[46];
-    c->cand_elen = (const int32_t *)P[47];
-    c->cand = (const int32_t *)P[48];
-    c->route_F = P[49];
-    c->route_H = P[50];
-    c->alloc_buf = (const double *)P[51];
-    c->buf_cap = P[52];
-    c->alloc_pos = (int64_t *)P[53];
-    c->neighbors = (const int32_t *)P[54];
-    c->color = (const uint8_t *)P[55];
-    c->measured = (uint8_t *)P[56];
-    c->t_inject = (double *)P[57];
-    c->alloc_attempts = (int64_t *)P[58];
-    c->alloc_failures = (int64_t *)P[59];
-    c->injected = (int64_t *)P[60];
-    c->hb_req = (int64_t *)P[61];
-    c->hb_blk = (int64_t *)P[62];
-    c->hb_wait = (int64_t *)P[63];
-    c->hb_max = P[64];
-    c->t_gen = (double *)P[65];
-    c->in_flight = (int64_t *)P[66];
-    c->meas_flight = (int64_t *)P[67];
-    c->completed = (int64_t *)P[68];
-    c->free_stack = (int32_t *)P[69];
-    c->free_n = (int64_t *)P[70];
-    c->lat_sum = (double *)P[71];
-    c->net_sum = (double *)P[72];
-    c->srcw_sum = (double *)P[73];
-    c->mcount = (int64_t *)P[74];
-    c->lat_bsum = (double *)P[75];
-    c->lat_bcount = (int64_t *)P[76];
-    c->w_t0 = (const double *)P[77];
-    c->w_width = (const double *)P[78];
-    c->w_batches = (const int64_t *)P[79];
-    c->Bmax = P[80];
-    c->tstage = (int64_t *)P[81];
-    c->threads = P[82];
-    c->pool = (struct Pool *)P[83];
-    c->gen_node_t = (double *)P[84];
-    c->gen_next = (double *)P[85];
-    c->arr_buf = (double *)P[86];
-    c->arr_pos = (int32_t *)P[87];
-    c->arr_len = (int32_t *)P[88];
-    c->dst_buf = (int32_t *)P[89];
-    c->dst_pos = (int32_t *)P[90];
-    c->dst_len = (int32_t *)P[91];
-    c->GB = P[92];
-    c->qnext = (int32_t *)P[93];
-    c->qhead = (int32_t *)P[94];
-    c->qtail = (int32_t *)P[95];
-    c->qlen = (int32_t *)P[96];
-    c->act = (uint8_t *)P[97];
-    c->cb = (starnet_cb)(intptr_t)P[98];
-    c->generated = (int64_t *)P[99];
-    c->meas_generated = (int64_t *)P[100];
-    c->warm = (const int64_t *)P[101];
-    c->horizon = (const int64_t *)P[102];
-    c->end = (const int64_t *)P[103];
-    c->active = (uint8_t *)P[104];
-    c->slots = P[105];
-    c->grace = P[106];
-    c->marks = (int64_t *)P[107];
-    c->lastp = (int64_t *)P[108];
-    c->sample_interval = P[109];
-    c->ugate = (int64_t *)P[110];
-    c->ej_cap_rows = P[111];
-    c->run_state = (int64_t *)P[112];
-    c->prof = (int64_t *)P[113];
-    c->pb_data = (int64_t *)P[114];
-    c->pb_cycles = (int64_t *)P[115];
-    c->pb_state = (int64_t *)P[116];
-    c->pb_interval = P[117];
-    c->pb_cap = P[118];
+    int64_t i = 0;
+#define X(T, name) c->name = (T)(intptr_t)P[i++];
+    STARNET_PARAMS(X)
+#undef X
     c->ms = (int64_t)c->M << 16;
     c->CV = c->C * c->V;
 }

@@ -117,17 +117,6 @@ _GEN_BLOCK = 64
 _UNIFORMS = 4096
 _EJ_ROWS = 64
 
-#: starnet_run return-reason bits (mirrored in _ckernel.c).
-_RUN_STOP = 1
-_RUN_POOL = 2
-_RUN_SAMPLE = 4
-_RUN_WATCHDOG = 8
-_RUN_CBERR = 16
-_RUN_ERR = 32
-_RUN_UNIFORMS = 64
-_RUN_EJ_ROWS = 128
-_RUN_REFILL = _RUN_POOL | _RUN_UNIFORMS | _RUN_EJ_ROWS
-
 #: Refill callback signature of the resident loop: ``cb(kind, rep,
 #: node)`` with kind 0 = arrival-block refill, 1 = destination-block
 #: refill.
@@ -708,6 +697,7 @@ class ArraySimulator:
         rs = self._c_rs
         rs[6] = stop_at
         counts = self._counts
+        bit = self._ck_bundle.reasons
         while True:
             if self._c_args is None:
                 self._refresh_c_args()
@@ -726,25 +716,25 @@ class ArraySimulator:
             ) = rs[:6].tolist()
             if not reason:
                 return  # the cycle bound
-            if reason & (_RUN_CBERR | _RUN_ERR | _RUN_WATCHDOG):
+            if reason & (bit["CBERR"] | bit["ERR"] | bit["WATCHDOG"]):
                 counts["returns_error"] += 1
                 self._raise_c_error(reason, aux)
-            if reason & _RUN_SAMPLE:
+            if reason & bit["SAMPLE"]:
                 counts["returns_sample"] += 1
                 self._sample(self.cycle - 1)  # the cycle C just finished
-            if reason & _RUN_REFILL:
+            if reason & (bit["POOL"] | bit["UNIFORMS"] | bit["EJ_ROWS"]):
                 counts["returns_punt"] += 1
-                if reason & _RUN_POOL:
+                if reason & bit["POOL"]:
                     self.state.grow()
                     self._sync_msg_cap()
-                if reason & _RUN_UNIFORMS:
+                if reason & bit["UNIFORMS"]:
                     self._ensure_uniforms()
-                if reason & _RUN_EJ_ROWS:
+                if reason & bit["EJ_ROWS"]:
                     # Every pending header could finish routing and append
                     # an ejection row; C reserves room up front.
                     while self._ej_cap_rows < self._ejecting_count + self._need_total:
                         self._grow_ej_rows()
-            if reason & _RUN_STOP:
+            if reason & bit["STOP"]:
                 counts["returns_stop"] += 1
                 if not self._freeze_stopped():
                     return
@@ -752,14 +742,15 @@ class ArraySimulator:
                 return
 
     def _raise_c_error(self, reason: int, rep: int) -> None:
-        if reason & _RUN_CBERR:
+        bit = self._ck_bundle.reasons
+        if reason & bit["CBERR"]:
             exc, self._cb_exc = self._cb_exc, None
             if exc is not None:
                 raise exc
             raise SimulationError(
                 "resident-loop refill callback failed without an exception"
             )
-        if reason & _RUN_ERR:
+        if reason & bit["ERR"]:
             self._kernel_error()
         raise self._stall_error(rep, self.cycle)
 
@@ -1629,9 +1620,10 @@ class ArraySimulator:
 
         Called whenever an array the kernel touches may have been
         reallocated: the message pool grew, the ejection columns doubled
-        or the uniform buffer widened.
-        Slot layout documented in _ckernel.c — the indices here must
-        match it exactly.
+        or the uniform buffer widened.  The block is filled by slot name
+        in the order ``STARNET_PARAMS`` declares them in ``_ckernel.c``;
+        a name missing here or undeclared there raises
+        :class:`~repro.simulation.ckernel.KernelABIError` before C runs.
         """
         st = self.state
         routes = self.routes
@@ -1641,132 +1633,132 @@ class ArraySimulator:
         self._c_comps = np.empty(rows, dtype=np.int64)
         self._c_winners = np.empty(RC, dtype=np.int64)
         self._c_fin = np.empty(RC, dtype=np.int64)
-        ej_rate = -1 if self._ej_rate is None else int(self._ej_rate)
-        params = np.array(
-            [
-                st.vc_bd.ctypes.data,  # 0
-                st.vc_avail.ctypes.data,  # 1
-                st.vc_owner.ctypes.data,  # 2
-                st.vc_upstream.ctypes.data,  # 3
-                st.vc_downstream.ctypes.data,  # 4
-                st.ch_rr.ctypes.data,  # 5
-                0 if self._lut is None else self._lut.ctypes.data,  # 6
-                self._R,  # 7
-                self._C,  # 8
-                self._V,  # 9
-                self._M,  # 10
-                self._depth,  # 11
-                ej_rate,  # 12
-                st.transfers.ctypes.data,  # 13
-                st.msg_vcs_held.ctypes.data,  # 14
-                st.msg_src.ctypes.data,  # 15
-                st.active_injections.ctypes.data,  # 16
-                st.msg_ejected.ctypes.data,  # 17
-                st.capacity,  # 18
-                st.num_nodes,  # 19
-                self._ej_reps.ctypes.data,  # 20
-                self._ej_slots.ctypes.data,  # 21
-                self._ej_flats.ctypes.data,  # 22
-                self._ej_mflats.ctypes.data,  # 23
-                self._ej_pos.ctypes.data,  # 24
-                self._c_ejk.ctypes.data,  # 25
-                self._c_winners.ctypes.data,  # 26
-                self._c_fin.ctypes.data,  # 27
-                self._c_comps.ctypes.data,  # 28
-                st.ch_busy.ctypes.data,  # 29
-                self._policy_code,  # 30
-                self.vc_config.num_adaptive,  # 31
-                self._deg,  # 32
-                self._need_slots.ctypes.data,  # 33
-                self._need_n.ctypes.data,  # 34
-                st.p_dst.ctypes.data,  # 35
-                st.p_header.ctypes.data,  # 36
-                st.p_dist.ctypes.data,  # 37
-                st.p_floor.ctypes.data,  # 38
-                st.p_hops.ctypes.data,  # 39
-                st.p_first_attempt.ctypes.data,  # 40
-                st.p_head_vc.ctypes.data,  # 41
-                routes.pair_class.ctypes.data,  # 42
-                routes.class_dist.ctypes.data,  # 43
-                routes.combo.ctypes.data,  # 44
-                routes.off.ctypes.data,  # 45
-                routes.alen.ctypes.data,  # 46
-                routes.elen.ctypes.data,  # 47
-                routes.cand.ctypes.data,  # 48
-                routes.floors,  # 49
-                routes.hops,  # 50
-                self._alloc_buf.ctypes.data,  # 51
-                self._buf_cap,  # 52
-                self._alloc_pos.ctypes.data,  # 53
-                self._neighbors_np.ctypes.data,  # 54
-                self._color_np.ctypes.data,  # 55
-                st.msg_measured.ctypes.data,  # 56
-                st.msg_t_inject.ctypes.data,  # 57
-                self.alloc_attempts.ctypes.data,  # 58
-                self.alloc_failures.ctypes.data,  # 59
-                self._injected.ctypes.data,  # 60
-                self._hb_req.ctypes.data,  # 61
-                self._hb_blk.ctypes.data,  # 62
-                self._hb_wait.ctypes.data,  # 63
-                self._hb_max,  # 64
-                st.msg_t_gen.ctypes.data,  # 65
-                self._in_flight.ctypes.data,  # 66
-                self._measured_in_flight.ctypes.data,  # 67
-                self._completed.ctypes.data,  # 68
-                st.free_stack.ctypes.data,  # 69
-                st.free_n.ctypes.data,  # 70
-                self._lat_sum.ctypes.data,  # 71
-                self._net_sum.ctypes.data,  # 72
-                self._srcw_sum.ctypes.data,  # 73
-                self._mcount.ctypes.data,  # 74
-                self._lat_bsum.ctypes.data,  # 75
-                self._lat_bcount.ctypes.data,  # 76
-                self._w_t0.ctypes.data,  # 77
-                self._w_width.ctypes.data,  # 78
-                self._w_batches.ctypes.data,  # 79
-                self._Bmax,  # 80
-                self._c_tstage.ctypes.data,  # 81
-                self._threads,  # 82
-                self._pool_ptr,  # 83
-                self._gen_node_t.ctypes.data,  # 84
-                self._gen_next.ctypes.data,  # 85
-                self._arr_buf.ctypes.data,  # 86
-                self._arr_pos.ctypes.data,  # 87
-                self._arr_len.ctypes.data,  # 88
-                self._dst_buf.ctypes.data,  # 89
-                self._dst_pos.ctypes.data,  # 90
-                self._dst_len.ctypes.data,  # 91
-                _GEN_BLOCK,  # 92
-                self._qnext.ctypes.data,  # 93
-                self._qhead.ctypes.data,  # 94
-                self._qtail.ctypes.data,  # 95
-                self._qlen.ctypes.data,  # 96
-                self._act.ctypes.data,  # 97
-                self._c_cb_ptr,  # 98
-                self._generated.ctypes.data,  # 99
-                self._measured_generated.ctypes.data,  # 100
-                self._warm_np.ctypes.data,  # 101
-                self._horizon_np.ctypes.data,  # 102
-                self._end_np.ctypes.data,  # 103
-                self._active_np.ctypes.data,  # 104
-                self._slots,  # 105
-                self._grace(),  # 106
-                self._progress_marks.ctypes.data,  # 107
-                self._last_progress.ctypes.data,  # 108
-                self.config.sample_interval,  # 109
-                self._ugate.ctypes.data,  # 110
-                self._ej_cap_rows,  # 111
-                self._c_rs.ctypes.data,  # 112
-                self.state.phase_ns.ctypes.data if self._prof is not None else 0,  # 113
-                0 if st.probe_data is None else st.probe_data.ctypes.data,  # 114
-                0 if st.probe_cycles is None else st.probe_cycles.ctypes.data,  # 115
-                0 if st.probe_state is None else st.probe_state.ctypes.data,  # 116
-                self._probe_int or 0,  # 117
-                st.probe_capacity,  # 118
-            ],
-            dtype=np.int64,
+
+        def ptr(a: np.ndarray | None) -> int:
+            return 0 if a is None else a.ctypes.data
+
+        values = dict(
+            bd=ptr(st.vc_bd),
+            avail=ptr(st.vc_avail),
+            owner=ptr(st.vc_owner),
+            up=ptr(st.vc_upstream),
+            down=ptr(st.vc_downstream),
+            rr=ptr(st.ch_rr),
+            lut=ptr(self._lut),
+            R=self._R,
+            C=self._C,
+            V=self._V,
+            M=self._M,
+            depth=self._depth,
+            ej_rate=-1 if self._ej_rate is None else int(self._ej_rate),
+            transfers=ptr(st.transfers),
+            vcs_held=ptr(st.msg_vcs_held),
+            msg_src=ptr(st.msg_src),
+            active_inj=ptr(st.active_injections),
+            msg_ejected=ptr(st.msg_ejected),
+            cap=st.capacity,
+            N=st.num_nodes,
+            ej_reps=ptr(self._ej_reps),
+            ej_slots=ptr(self._ej_slots),
+            ej_flats=ptr(self._ej_flats),
+            ej_mflats=ptr(self._ej_mflats),
+            ej_pos=ptr(self._ej_pos),
+            ej_k=ptr(self._c_ejk),
+            winners=ptr(self._c_winners),
+            fin_nodes=ptr(self._c_fin),
+            completions=ptr(self._c_comps),
+            busy=ptr(st.ch_busy),
+            policy=self._policy_code,
+            num_adaptive=self.vc_config.num_adaptive,
+            deg=self._deg,
+            need_slots=ptr(self._need_slots),
+            need_n=ptr(self._need_n),
+            p_dst=ptr(st.p_dst),
+            p_header=ptr(st.p_header),
+            p_dist=ptr(st.p_dist),
+            p_floor=ptr(st.p_floor),
+            p_hops=ptr(st.p_hops),
+            p_first=ptr(st.p_first_attempt),
+            p_head_vc=ptr(st.p_head_vc),
+            pair_class=ptr(routes.pair_class),
+            class_dist=ptr(routes.class_dist),
+            route_combo=ptr(routes.combo),
+            cand_off=ptr(routes.off),
+            cand_alen=ptr(routes.alen),
+            cand_elen=ptr(routes.elen),
+            cand=ptr(routes.cand),
+            route_F=routes.floors,
+            route_H=routes.hops,
+            alloc_buf=ptr(self._alloc_buf),
+            buf_cap=self._buf_cap,
+            alloc_pos=ptr(self._alloc_pos),
+            neighbors=ptr(self._neighbors_np),
+            color=ptr(self._color_np),
+            measured=ptr(st.msg_measured),
+            t_inject=ptr(st.msg_t_inject),
+            alloc_attempts=ptr(self.alloc_attempts),
+            alloc_failures=ptr(self.alloc_failures),
+            injected=ptr(self._injected),
+            hb_req=ptr(self._hb_req),
+            hb_blk=ptr(self._hb_blk),
+            hb_wait=ptr(self._hb_wait),
+            hb_max=self._hb_max,
+            t_gen=ptr(st.msg_t_gen),
+            in_flight=ptr(self._in_flight),
+            meas_flight=ptr(self._measured_in_flight),
+            completed=ptr(self._completed),
+            free_stack=ptr(st.free_stack),
+            free_n=ptr(st.free_n),
+            lat_sum=ptr(self._lat_sum),
+            net_sum=ptr(self._net_sum),
+            srcw_sum=ptr(self._srcw_sum),
+            mcount=ptr(self._mcount),
+            lat_bsum=ptr(self._lat_bsum),
+            lat_bcount=ptr(self._lat_bcount),
+            w_t0=ptr(self._w_t0),
+            w_width=ptr(self._w_width),
+            w_batches=ptr(self._w_batches),
+            Bmax=self._Bmax,
+            tstage=ptr(self._c_tstage),
+            threads=self._threads,
+            pool=self._pool_ptr,
+            gen_node_t=ptr(self._gen_node_t),
+            gen_next=ptr(self._gen_next),
+            arr_buf=ptr(self._arr_buf),
+            arr_pos=ptr(self._arr_pos),
+            arr_len=ptr(self._arr_len),
+            dst_buf=ptr(self._dst_buf),
+            dst_pos=ptr(self._dst_pos),
+            dst_len=ptr(self._dst_len),
+            GB=_GEN_BLOCK,
+            qnext=ptr(self._qnext),
+            qhead=ptr(self._qhead),
+            qtail=ptr(self._qtail),
+            qlen=ptr(self._qlen),
+            act=ptr(self._act),
+            cb=self._c_cb_ptr,
+            generated=ptr(self._generated),
+            meas_generated=ptr(self._measured_generated),
+            warm=ptr(self._warm_np),
+            horizon=ptr(self._horizon_np),
+            end=ptr(self._end_np),
+            active=ptr(self._active_np),
+            slots=self._slots,
+            grace=self._grace(),
+            marks=ptr(self._progress_marks),
+            lastp=ptr(self._last_progress),
+            sample_interval=self.config.sample_interval,
+            ugate=ptr(self._ugate),
+            ej_cap_rows=self._ej_cap_rows,
+            run_state=ptr(self._c_rs),
+            prof=ptr(self.state.phase_ns if self._prof is not None else None),
+            pb_data=ptr(st.probe_data),
+            pb_cycles=ptr(st.probe_cycles),
+            pb_state=ptr(st.probe_state),
+            pb_interval=self._probe_int or 0,
+            pb_cap=st.probe_capacity,
         )
-        self._c_params = params
+        params = np.array(self._ck_bundle.param_block(values), dtype=np.int64)
         self._c_params_ptr = params.ctypes.data
         self._c_args = params  # sentinel: block is built
 

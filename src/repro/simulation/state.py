@@ -129,14 +129,14 @@ class SimState:
         self.free_n = np.full(R, cap, dtype=np.int64)
 
         #: Phase-profiling accumulators (nanoseconds), the side array
-        #: next to the kernel param block (slot 113): {generation,
+        #: behind the kernel param block's ``prof`` slot: {generation,
         #: activation, route, complete, reserved, total, reserved,
         #: reserved}.  Always allocated (64 bytes) but only written when
         #: ``ArraySimulator(profile=True)`` hands its pointer to the
         #: kernel / the numpy passes; see docs/observability.md.
         self.phase_ns = np.zeros(8, dtype=np.int64)
 
-        #: Time-series probe ring buffers (param-block slots 114-118),
+        #: Time-series probe ring buffers (param-block slots ``pb_*``),
         #: unallocated until ``alloc_probes`` — probing is opt-in
         #: (``ArraySimulator(probe_interval=k)``) and the kernel sees a
         #: NULL data pointer otherwise, the same zero-overhead contract
